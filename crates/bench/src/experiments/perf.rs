@@ -177,11 +177,11 @@ fn rt_move_sample(flows: u32, p2p: bool, tel: &Telemetry) -> (f64, f64) {
 /// Bulk per-flow move throughput on the threaded runtime: move N
 /// preloaded flows between two live AssetMonitor workers.
 ///
-/// The headline `rt_bulk_move_<n>` key tracks the *default bulk path*,
-/// which since the P2P tentpole is the direct src → dst transfer
-/// (footnote 10) — comparing it against a pre-P2P baseline is exactly the
-/// before/after of that change. The controller-mediated path keeps its
-/// own `_lossfree` key so regressions there stay visible too.
+/// The headline `rt_bulk_move_<n>` key tracks the direct src → dst
+/// transfer (footnote 10), the `_lossfree` key the controller-relayed
+/// one. Both are the same engine op ([`RtController::run_ops`]: admitted,
+/// journaled, root-spanned) in its two transfer modes, so the pair
+/// isolates the transport.
 ///
 /// Every sample runs with the flight recorder and span clocks *enabled*
 /// (`tel` is shared across samples so per-phase histograms accumulate):
@@ -217,7 +217,7 @@ fn rt_bulk_move(quick: bool, p2p: bool, tel: &Telemetry) -> Row {
 /// end-to-end. Op `j` owns the `10.j.0.0/16` source subnet (500 preloaded
 /// flows) and moves worker `j` → worker `4+j`, so scopes and endpoints
 /// are pairwise disjoint. `engine` admits the whole batch into one
-/// dispatch-loop run ([`RtController::run_moves`]); otherwise the same
+/// dispatch-loop run ([`RtController::run_ops`]); otherwise the same
 /// ops run one at a time — the serial baseline the concurrent op engine
 /// is measured against.
 fn rt_parallel_moves_sample(k: usize, flows: u32, engine: bool, policy: SchedPolicy) -> f64 {
@@ -248,12 +248,12 @@ fn rt_parallel_moves_sample(k: usize, flows: u32, engine: bool, policy: SchedPol
     };
     let t0 = Instant::now();
     if engine {
-        for r in ctrl.run_moves((0..k).map(spec).collect()) {
+        for r in ctrl.run_ops((0..k).map(spec).collect()) {
             assert_eq!(r.expect("move succeeds").chunks, flows as usize);
         }
     } else {
         for j in 0..k {
-            let r = ctrl.run_moves(vec![spec(j)]).pop().expect("one result");
+            let r = ctrl.run_ops(vec![spec(j)]).pop().expect("one result");
             assert_eq!(r.expect("move succeeds").chunks, flows as usize);
         }
     }

@@ -33,7 +33,7 @@ use opennf_controller::{
 use opennf_nf::{Chunk, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::Filter;
-use opennf_rt::{RtController, ShardedRt, WireMsg};
+use opennf_rt::{OpSpec, RtController, ShardedRt, WireMsg};
 use opennf_telemetry::Telemetry;
 use opennf_trace::steady_flows;
 use opennf_util::{Dur, FaultKind, FaultPlan, Md5, NodeId, SimRng, Time};
@@ -497,6 +497,13 @@ fn sim_fault_canonical(s: &Scenario) -> String {
     }
 }
 
+/// The spec's move as the rt engine takes it: worker 0 → worker 1, every
+/// flow, in the transfer mode the mask draws.
+fn rt_move_spec(spec: &Spec) -> OpSpec {
+    let mv = if spec.mask & M_P2P != 0 { OpSpec::mv_p2p } else { OpSpec::mv };
+    mv(0, 1, Filter::any())
+}
+
 /// Runs the spec through the threaded runtime. The same `steady_flows`
 /// trace is replayed wall-clock-paced through the fault-shimmed router →
 /// worker links; virtual plan time maps 1:1 onto nanoseconds since the
@@ -546,11 +553,8 @@ pub fn run_rt(spec: &Spec) -> SideReport {
         while faults.now() < Time(0) + spec.move_at {
             std::thread::sleep(Duration::from_micros(500));
         }
-        let move_result = if spec.mask & M_P2P != 0 {
-            ctrl.move_flows_p2p(0, 1, Filter::any())
-        } else {
-            ctrl.move_flows_lossfree(0, 1, Filter::any())
-        };
+        let move_result =
+            ctrl.run_ops(vec![rt_move_spec(spec)]).pop().expect("one spec in, one result out");
         (move_result.is_ok(), ctrl.abort_lost().to_vec())
     };
 
@@ -680,7 +684,7 @@ fn run_rt_sharded(spec: &Spec) -> SideReport {
         while faults.now() < Time(0) + spec.move_at {
             std::thread::sleep(Duration::from_micros(500));
         }
-        let move_result = ctrl.move_flows_cross(0, 1, Filter::any(), spec.mask & M_P2P != 0);
+        let move_result = ctrl.move_flows_cross(rt_move_spec(spec));
         (move_result.is_ok(), ctrl.abort_lost().to_vec())
     };
 

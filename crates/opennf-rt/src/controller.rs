@@ -8,7 +8,7 @@
 //! [`WireEvent::NfFailed`] report) or [`RtError::WorkerGone`], and the
 //! caller — like the simulator's failover app — decides how to recover.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +22,7 @@ use opennf_telemetry::Telemetry;
 use crate::error::RtError;
 use crate::faults::{worker_node, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 use crate::router::Router;
-use crate::wire::{decode_frame, FrameBuf, WireAction, WireCall, WireEvent, WireMsg, WireReply};
+use crate::wire::{decode_frame, FrameBuf, WireCall, WireEvent, WireMsg, WireReply};
 use crate::worker::{spawn_worker_full, PeerMesh, WorkerHandle};
 use opennf_util::FaultPlan;
 
@@ -66,13 +66,14 @@ pub(crate) struct OpResidue {
     /// only a move deletes the source copy on fail-forward, and a copy
     /// has no event filter to settle.
     pub(crate) kind: opennf_sched::OpClass,
-    /// Flows shipped toward (or confirmed at) the destination so far.
+    /// Flows shipped toward (or confirmed at) the destination so far: the
+    /// rollback's purge list there, the fail-forward's delete list at the
+    /// source.
     pub(crate) put_flows: Vec<FlowId>,
     /// Buffered-packet events collected but not yet replayed.
     pub(crate) events: Vec<WireEvent>,
-    /// P2P ops: the latest transfer round's correlation id — rollback
-    /// aborts the transfer at the destination (tombstoning in-flight
-    /// chunk batches) instead of plain-deleting.
+    /// P2P moves: the latest transfer round's correlation id (see
+    /// [`OpResidue::purge_call`]).
     pub(crate) p2p_through: Option<u64>,
 }
 
@@ -86,6 +87,22 @@ impl OpResidue {
             put_flows: Vec::new(),
             events: Vec::new(),
             p2p_through: None,
+        }
+    }
+
+    /// The call that rolls the partial import back at the destination,
+    /// if there is anything to roll back. A relayed op's puts travel the
+    /// controller link, so a plain delete queued behind them covers them
+    /// all; a P2P move's chunk batches travel worker → worker, so its
+    /// rounds are tombstoned as well — a batch still in flight cannot
+    /// resurrect the deleted state. The engine's abort path and
+    /// [`RtController::recover`] both send exactly this, fenced.
+    pub(crate) fn purge_call(&self) -> Option<WireCall> {
+        let flow_ids = self.put_flows.clone();
+        match self.p2p_through {
+            Some(through_id) => Some(WireCall::AbortTransfer { flow_ids, through_id }),
+            None if flow_ids.is_empty() => None,
+            None => Some(WireCall::DelPerflow { flow_ids }),
         }
     }
 }
@@ -165,21 +182,12 @@ impl RtController {
         Self::build(nfs, None, tel)
     }
 
-    /// Like [`RtController::new`], but every channel — controller → worker,
-    /// router → worker, worker → controller — runs through a
-    /// [`FaultyChannel`] armed with `plan`. Returns the shared
+    /// Like [`RtController::new_with_telemetry`], but every channel —
+    /// controller → worker, router → worker, worker → controller — runs
+    /// through a [`FaultyChannel`] armed with `plan`; injected faults also
+    /// land in the flight recorder as `fault.*` events. Returns the shared
     /// [`RtFaults`] so the caller can read the injected-fault ledger and
     /// join the delay pump after shutdown.
-    pub fn new_with_faults(
-        nfs: Vec<Box<dyn NetworkFunction>>,
-        plan: FaultPlan,
-    ) -> (Self, Arc<RtFaults>) {
-        Self::new_with_faults_and_telemetry(nfs, plan, Telemetry::wall())
-    }
-
-    /// [`RtController::new_with_faults`] with a caller-supplied telemetry
-    /// handle; injected faults also land in its flight recorder as
-    /// `fault.*` events.
     pub fn new_with_faults_and_telemetry(
         nfs: Vec<Box<dyn NetworkFunction>>,
         plan: FaultPlan,
@@ -309,7 +317,14 @@ impl RtController {
                         self.c_frames_decoded.fetch_add(1, Ordering::Relaxed);
                         self.inbox.extend(msgs);
                     }
-                    Err(e) => return Recv::Bad(e.to_string()),
+                    Err(e) => {
+                        // Visible in the flight recorder, not just to the
+                        // one caller that happens to be receiving.
+                        let e = e.to_string();
+                        self.tel.counter("rt.frames.bad").fetch_add(1, Ordering::Relaxed);
+                        self.tel.event("wire.bad_frame", Some(e.clone()));
+                        return Recv::Bad(e);
+                    }
                 },
                 Err(RecvTimeoutError::Timeout) => return Recv::Timeout,
                 Err(RecvTimeoutError::Disconnected) => return Recv::Disconnected,
@@ -466,13 +481,14 @@ impl RtController {
         }
     }
 
-    /// Replays a buffered event packet to `dst` (marked do-not-buffer /
-    /// do-not-drop, §4.3). Returns how many packets were sent (0 or 1).
-    fn replay(links: &[FaultyChannel], dst: usize, ev: WireEvent) -> Result<usize, RtError> {
+    /// Replays one buffered event packet to `dst` over the (possibly
+    /// shimmed) controller link, marked do-not-buffer / do-not-drop
+    /// (§4.3). Returns how many packets were sent (0 or 1).
+    pub(crate) fn replay_one(&self, dst: usize, ev: WireEvent) -> Result<usize, RtError> {
         if let WireEvent::PacketReceived { mut packet } = ev {
             packet.do_not_buffer = true;
             packet.do_not_drop = true;
-            links[dst]
+            self.ctrl_links[dst]
                 .send(&WireMsg::Packet { packet })
                 .map_err(|_| RtError::WorkerGone { worker: dst })?;
             Ok(1)
@@ -481,24 +497,24 @@ impl RtController {
         }
     }
 
-    /// Replays a run of buffered event packets to `dst` as coalesced
-    /// frames of at most [`REPLAY_BATCH`] packets each — one channel send
-    /// per frame instead of per packet. Returns how many packets shipped.
+    /// Replays a run of buffered event packets to `dst` over the
+    /// controller link as coalesced frames of at most [`REPLAY_BATCH`]
+    /// packets each — one channel send per frame instead of per packet.
+    /// Returns how many packets shipped.
     ///
     /// Shimmed links fall back to per-packet sends: how many events are
     /// buffered at replay time is timing-dependent, and a frame whose
     /// composition varies between reruns would get rerun-varying
     /// content-addressed fault verdicts (breaking ledger determinism).
-    fn replay_batch(
-        links: &[FaultyChannel],
+    pub(crate) fn replay_now(
+        &mut self,
         dst: usize,
         events: impl Iterator<Item = WireEvent>,
-        frames_encoded: &AtomicU64,
     ) -> Result<usize, RtError> {
-        if links[dst].is_shimmed() {
+        if self.ctrl_links[dst].is_shimmed() {
             let mut replayed = 0usize;
             for ev in events {
-                replayed += Self::replay(links, dst, ev)?;
+                replayed += self.replay_one(dst, ev)?;
             }
             return Ok(replayed);
         }
@@ -506,8 +522,10 @@ impl RtController {
         let mut shipped = 0usize;
         let flush = |buf: &mut FrameBuf| -> Result<(), RtError> {
             if let Some(frame) = buf.finish() {
-                frames_encoded.fetch_add(1, Ordering::Relaxed);
-                links[dst].send_json(frame).map_err(|_| RtError::WorkerGone { worker: dst })?;
+                self.c_frames_encoded.fetch_add(1, Ordering::Relaxed);
+                self.ctrl_links[dst]
+                    .send_json(frame)
+                    .map_err(|_| RtError::WorkerGone { worker: dst })?;
             }
             Ok(())
         };
@@ -524,23 +542,6 @@ impl RtController {
         }
         flush(&mut buf)?;
         Ok(shipped)
-    }
-
-    /// Replays one buffered event packet to `dst` over the (possibly
-    /// shimmed) controller link.
-    pub(crate) fn replay_one(&self, dst: usize, ev: WireEvent) -> Result<usize, RtError> {
-        Self::replay(&self.ctrl_links, dst, ev)
-    }
-
-    /// Replays a run of buffered events to `dst` over the controller
-    /// links, coalesced where determinism allows (see
-    /// [`RtController::replay_batch`]).
-    pub(crate) fn replay_now(
-        &mut self,
-        dst: usize,
-        events: impl Iterator<Item = WireEvent>,
-    ) -> Result<usize, RtError> {
-        Self::replay_batch(&self.ctrl_links, dst, events, &self.c_frames_encoded)
     }
 
     // ---- op journal & recovery ----
@@ -650,21 +651,10 @@ impl RtController {
                         self.await_done_tagged(id, &mut sink);
                     }
                 }
-            } else if let Some(through_id) = res.p2p_through {
-                // P2P rollback: purge partial imports and tombstone the
-                // round so chunk batches still in flight cannot resurrect
-                // the deleted state.
-                if let Ok(id) = self.call_fenced(
-                    res.dst,
-                    WireCall::AbortTransfer { flow_ids: res.put_flows.clone(), through_id },
-                ) {
-                    self.await_done_tagged(id, &mut sink);
-                }
-            } else if !res.put_flows.is_empty() {
-                if let Ok(id) = self.call_fenced(
-                    res.dst,
-                    WireCall::DelPerflow { flow_ids: res.put_flows.clone() },
-                ) {
+            } else if let Some(purge) = res.purge_call() {
+                // Rollback: the partial import must not survive at the
+                // destination as shadow state.
+                if let Ok(id) = self.call_fenced(res.dst, purge) {
                     self.await_done_tagged(id, &mut sink);
                 }
             }
@@ -755,7 +745,7 @@ impl RtController {
     /// 3. replay buffered event packets to dst (marked do-not-buffer);
     /// 4. flip the router to dst.
     ///
-    /// This is the one-op form of [`RtController::run_moves`]: the same
+    /// This is the one-op form of [`RtController::run_ops`]: the same
     /// pipelined state machine drives it, so a single move and a k-move
     /// batch take exactly the same journaled path. On failure the error
     /// names the faulty worker; the router still points wherever it
@@ -810,320 +800,30 @@ impl RtController {
     }
 
     /// Executes a loss-free move whose bulk state transfer goes *directly*
-    /// from `src` to `dst` (footnote 10), copy-then-delete:
-    ///
-    /// 1. `enableEvents(filter, drop)` at src;
-    /// 2. `transferPerflow`: src streams chunk batches straight to dst and
-    ///    summarizes to the controller; dst summarizes its imports;
-    /// 3. the controller reconciles the two summaries, re-requesting any
-    ///    unconfirmed flows (a dropped batch costs one narrower round, not
-    ///    the move);
-    /// 4. only once every exported flow is confirmed imported does src
-    ///    delete — an abort before that never loses state;
-    /// 5. replay buffered events to dst and flip the router.
-    ///
-    /// On failure the destination is told to discard partial imports and
-    /// tombstone in-flight batches (`abortTransfer`), then the move settles
-    /// like [`RtController::move_flows_lossfree`].
+    /// from `src` to `dst` (footnote 10) instead of relaying through the
+    /// controller. One-op form of [`RtController::run_ops`] with an
+    /// [`OpSpec::mv_p2p`](crate::engine::OpSpec::mv_p2p) spec: the same
+    /// admitted, journaled engine move as
+    /// [`RtController::move_flows_lossfree`], in the other transfer mode.
     pub fn move_flows_p2p(
         &mut self,
         src: usize,
         dst: usize,
         filter: Filter,
     ) -> Result<MoveStats, RtError> {
-        self.last_abort_lost.clear();
-        let op = self.mint_op();
-        let mut report = OpReport::new(op, "move[LF p2p]".into(), self.tel.now_ns());
-        self.residue
-            .insert(op.0, OpResidue::new(src, dst, filter, opennf_sched::OpClass::Move));
-        let mut events: Vec<WireEvent> = Vec::new();
-        let mut flipped = false;
-        let mut abort: Option<(u64, Vec<FlowId>)> = None;
-        match self.try_move_p2p(
-            op,
-            &mut report,
-            src,
-            dst,
-            filter,
-            &mut events,
-            &mut flipped,
-            &mut abort,
-        ) {
-            Ok(mut stats) => {
-                let (extra, lost) = self.settle(src, dst, filter, events);
-                stats.events_replayed += extra;
-                self.last_abort_lost = lost;
-                report.events_released = stats.events_replayed;
-                report.end_ns = self.tel.now_ns();
-                self.jlog(op, JournalPhase::Committed, &report);
-                self.residue.remove(&op.0);
-                Ok(stats)
-            }
-            Err(RtError::CtrlCrashed) => {
-                // The "process" died mid-op: no settle, no abort teardown —
-                // only the struct fields survive. Spool the events collected
-                // so far into the residue so recovery can still replay every
-                // packet the source dropped on our instruction.
-                if let Some(res) = self.residue.get_mut(&op.0) {
-                    res.events.append(&mut events);
-                }
-                Err(RtError::CtrlCrashed)
-            }
-            Err(e) => {
-                self.tel.event("move.abort", Some(e.to_string()));
-                if let Some((through_id, imported)) = abort.take() {
-                    // Best-effort teardown at the destination: delete the
-                    // partial imports and tombstone every round so a chunk
-                    // batch still in flight cannot resurrect them. Fenced:
-                    // a duplicated abort must not re-delete flows a
-                    // concurrent retry round re-imported.
-                    if let Ok(id) = self
-                        .call_fenced(dst, WireCall::AbortTransfer { flow_ids: imported, through_id })
-                    {
-                        let _ = self.await_reply(id, &mut events);
-                    }
-                }
-                let replay_to = if flipped { dst } else { src };
-                let (_, lost) = self.settle(src, replay_to, filter, events);
-                report.abort(e.to_string(), None);
-                report.abort_lost = lost.clone();
-                report.end_ns = self.tel.now_ns();
-                self.jlog(op, JournalPhase::Aborted, &report);
-                self.residue.remove(&op.0);
-                self.last_abort_lost = lost;
-                Err(e)
-            }
-        }
+        self.run_ops(vec![crate::engine::OpSpec::mv_p2p(src, dst, filter)])
+            .pop()
+            .expect("one spec in, one result out")
     }
 
-    /// Waits for a P2P round's two summaries — the source's
-    /// `TransferExported` and the destination's `TransferDone`, both
-    /// correlated to `id`. A timeout leaves the corresponding side `None`:
-    /// that is a round outcome the caller reconciles, not an operation
-    /// error. Mid-round [`WireReply::TransferProgress`] receipts (one per
-    /// non-final chunk batch the destination imported) accumulate into
-    /// `confirmed` as they land — so even a round whose final summary is
-    /// lost leaves behind batch-granular knowledge of what arrived, and
-    /// the retry re-requests only the genuinely unconfirmed flows.
-    #[allow(clippy::type_complexity)]
-    fn await_transfer(
-        &mut self,
-        id: u64,
-        events: &mut Vec<WireEvent>,
-        confirmed: &mut HashSet<FlowId>,
-    ) -> Result<(Option<(Vec<FlowId>, u64)>, Option<Vec<FlowId>>), RtError> {
-        let mut exported: Option<(Vec<FlowId>, u64)> = None;
-        let mut done: Option<Vec<FlowId>> = None;
-        let deadline = Instant::now() + self.reply_timeout;
-        while exported.is_none() || done.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match self.recv_msg(left) {
-                Recv::Timeout => break,
-                Recv::Disconnected => return Err(RtError::ChannelClosed),
-                Recv::Bad(e) => return Err(RtError::Wire(e)),
-                Recv::Msg(WireMsg::Response { id: rid, reply }) if rid == id => match reply {
-                    WireReply::TransferExported { flow_ids, bytes } => {
-                        exported = Some((flow_ids, bytes));
-                    }
-                    WireReply::TransferDone { imported } => {
-                        confirmed.extend(imported.iter().copied());
-                        done = Some(imported);
-                    }
-                    WireReply::TransferProgress { flow_ids, .. } => {
-                        confirmed.extend(flow_ids);
-                    }
-                    WireReply::Error { message } => return Err(RtError::Wire(message)),
-                    _ => {}
-                },
-                Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
-                    return Err(RtError::NfFailed { worker, reason });
-                }
-                Recv::Msg(WireMsg::Event { ev, .. }) => {
-                    self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                    events.push(ev);
-                }
-                Recv::Msg(_) => {}
-            }
-        }
-        Ok((exported, done))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_move_p2p(
-        &mut self,
-        op: OpId,
-        report: &mut OpReport,
-        src: usize,
-        dst: usize,
-        filter: Filter,
-        events: &mut Vec<WireEvent>,
-        flipped: &mut bool,
-        abort: &mut Option<(u64, Vec<FlowId>)>,
-    ) -> Result<MoveStats, RtError> {
-        const ATTEMPTS: u32 = 3;
-        let start = Instant::now();
-
-        // Same five phases (and names) as the relayed move; here
-        // "transfer" is the direct src → dst reconcile loop and "import"
-        // the copy-then-delete release.
-        let sp = self.tel.begin("move.export");
-        let id = self.call(src, WireCall::EnableEvents { filter, action: WireAction::Drop })?;
-        Self::expect_done(self.await_reply(id, events)?)?;
-        self.tel.end(sp);
-        if self.jlog(op, JournalPhase::Armed, report) {
-            return Err(RtError::CtrlCrashed);
-        }
-
-        let sp_transfer = self.tel.begin("move.transfer");
-        let mut all_exported: Vec<FlowId> = Vec::new();
-        let mut exported_set: HashSet<FlowId> = HashSet::new();
-        // Flows confirmed at the destination: cumulative `TransferDone`
-        // summaries plus batch-granular `TransferProgress` receipts. The
-        // receipts are what make a half-confirmed round cheap — when the
-        // final summary itself is lost, the retry re-requests only the
-        // flows no batch ever confirmed.
-        let mut confirmed: HashSet<FlowId> = HashSet::new();
-        let mut bytes = 0usize;
-        // Empty = the whole filter; retries narrow to the unconfirmed gap.
-        let mut only: Vec<FlowId> = Vec::new();
-        let mut complete = false;
-        for round in 0..ATTEMPTS {
-            if round > 0 {
-                self.tel.counter("rt.p2p.retry_rounds").fetch_add(1, Ordering::Relaxed);
-                self.tel
-                    .counter("rt.p2p.refetch_flows")
-                    .fetch_add(only.len() as u64, Ordering::Relaxed);
-                report.retries += 1;
-            }
-            let id =
-                self.call(src, WireCall::TransferPerflow { filter, peer: dst, only: only.clone() })?;
-            *abort = Some((id, confirmed.iter().copied().collect()));
-            let (round_exported, round_done) = self.await_transfer(id, events, &mut confirmed)?;
-            let both_acked = round_exported.is_some() && round_done.is_some();
-            if let Some((flow_ids, round_bytes)) = round_exported {
-                bytes += round_bytes as usize;
-                for f in flow_ids {
-                    if exported_set.insert(f) {
-                        all_exported.push(f);
-                    }
-                }
-            }
-            // Exported-order projection of the confirmed set: what the
-            // destination is known to hold (recovery's rollback/fail-forward
-            // scope, and the abort path's delete list).
-            let put_flows: Vec<FlowId> =
-                all_exported.iter().filter(|f| confirmed.contains(f)).copied().collect();
-            if let Some(res) = self.residue.get_mut(&op.0) {
-                res.put_flows = put_flows.clone();
-                res.p2p_through = Some(id);
-            }
-            *abort = Some((id, put_flows));
-            only = all_exported.iter().filter(|f| !confirmed.contains(f)).copied().collect();
-            // Complete only when this round's *both* summaries landed and
-            // every exported flow is confirmed — a missing summary retries
-            // even with an empty gap, because the export list is then
-            // possibly incomplete.
-            if both_acked && only.is_empty() {
-                complete = true;
-                break;
-            }
-            self.tel.event(
-                "move.p2p_round",
-                Some(format!("xfer={id} missing={}", only.len())),
-            );
-        }
-        if !complete {
-            report.p2p_inflight = only.clone();
-            return Err(RtError::Wire(format!(
-                "P2P transfer incomplete after {ATTEMPTS} attempts ({} flows unconfirmed)",
-                only.len()
-            )));
-        }
-        self.tel.end(sp_transfer);
-        report.chunks = all_exported.len();
-        report.bytes = bytes as u64;
-        // `||` short-circuits: a crash right after ExportDone leaves
-        // Transferred unjournaled, exactly the boundary being modeled.
-        if self.jlog(op, JournalPhase::ExportDone, report)
-            || self.jlog(op, JournalPhase::Transferred, report)
-        {
-            return Err(RtError::CtrlCrashed);
-        }
-        // Copy-then-delete: the source lets go only now that every flow is
-        // confirmed at the destination.
-        let sp = self.tel.begin("move.import");
-        if !all_exported.is_empty() {
-            let id = self.call(src, WireCall::DelPerflow { flow_ids: all_exported.clone() })?;
-            Self::expect_done(self.await_reply(id, events)?)?;
-        }
-        self.tel.end(sp);
-        *abort = None;
-        if self.jlog(op, JournalPhase::Imported, report) {
-            return Err(RtError::CtrlCrashed);
-        }
-
-        let sp = self.tel.begin("move.flush");
-        let mut replayed =
-            Self::replay_batch(&self.ctrl_links, dst, events.drain(..), &self.c_frames_encoded)?;
-        self.tel.end(sp);
-        if self.jlog(op, JournalPhase::Flushed, report) {
-            return Err(RtError::CtrlCrashed);
-        }
-        let sp = self.tel.begin("move.fwd_update");
-        self.router.install(10, filter, dst);
-        *flipped = true;
-        let deadline = Instant::now() + Duration::from_millis(200);
-        while Instant::now() < deadline {
-            match self.recv_msg(Duration::from_millis(20)) {
-                Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
-                    return Err(RtError::NfFailed { worker, reason });
-                }
-                Recv::Msg(WireMsg::Event { ev, .. }) => {
-                    replayed += Self::replay(&self.ctrl_links, dst, ev)?;
-                }
-                Recv::Msg(_) | Recv::Bad(_) => {}
-                Recv::Timeout => break,
-                Recv::Disconnected => return Err(RtError::ChannelClosed),
-            }
-        }
-        self.tel.end(sp);
-
-        Ok(MoveStats {
-            chunks: all_exported.len(),
-            bytes,
-            events_replayed: replayed,
-            duration: start.elapsed(),
-        })
-    }
-
-    /// Tears the move's event filter down at `src` over the *management
+    /// Tears the op's event filter down at `src` over the *management
     /// channel* (the raw, unshimmed worker channel — standing in for the
-    /// reliable control connection the paper's controller keeps), waits for
-    /// the ack while collecting the events the teardown flushes out, and
-    /// replays every collected event to `replay_to` marked
-    /// do-not-buffer/do-not-drop. The worker channel is FIFO, so once the
-    /// disable acks, no further events can be raised by that filter.
-    /// Returns `(replayed, lost_uids)`: uids whose replay failed (dead
-    /// worker) are the move's explicit loss accounting.
-    fn settle(
-        &mut self,
-        src: usize,
-        replay_to: usize,
-        filter: Filter,
-        mut events: Vec<WireEvent>,
-    ) -> (usize, Vec<u64>) {
-        events.extend(self.settle_collect(src, filter));
-        self.replay_events_to(replay_to, events)
-    }
-
-    /// The teardown half of [`RtController::settle`]: disables the move's
-    /// event filter at `src` and collects the events the teardown flushes
-    /// out, without replaying them anywhere. A sharded control plane uses
-    /// this to harvest the stragglers locally and ship them east-west to
-    /// the shard that owns the destination.
+    /// reliable control connection the paper's controller keeps) and
+    /// collects the events the teardown flushes out, without replaying
+    /// them anywhere. The worker channel is FIFO, so once the disable
+    /// acks, no further events can be raised by that filter. A sharded
+    /// control plane uses this to harvest the stragglers locally and ship
+    /// them east-west to the shard that owns the destination.
     pub(crate) fn settle_collect(&mut self, src: usize, filter: Filter) -> Vec<WireEvent> {
         self.settle_collect_tagged(src, filter).into_iter().map(|(_, ev)| ev).collect()
     }
@@ -1161,12 +861,11 @@ impl RtController {
         events
     }
 
-    /// The replay half of [`RtController::settle`]: ships every buffered
-    /// event packet to local worker `replay_to` over the management
-    /// channel (the abort path must converge even while the fault plan is
-    /// hostile), coalesced into frames; a frame the dead worker never
-    /// takes loses every packet inside it, and each uid is accounted.
-    /// Returns `(replayed, lost_uids)`.
+    /// Ships every buffered event packet to local worker `replay_to` over
+    /// the management channel (the abort path must converge even while
+    /// the fault plan is hostile), coalesced into frames; a frame the dead
+    /// worker never takes loses every packet inside it, and each uid is
+    /// accounted. Returns `(replayed, lost_uids)`.
     pub(crate) fn replay_events_to(
         &mut self,
         replay_to: usize,

@@ -40,6 +40,15 @@
 //! gives double buffering without unbounded queueing; batches beyond the
 //! window wait in a backlog.
 //!
+//! A move has a second *transfer mode* ([`OpSpec::mv_p2p`], footnote 10):
+//! the source streams its chunk batches straight to the destination over
+//! the worker ↔ worker mesh and both ends summarize to the controller,
+//! which reconciles the two summaries and re-requests any unconfirmed
+//! flows in up to three narrowing rounds. Only the `Streaming`
+//! state differs: admission, journaling, the copy-then-delete release,
+//! the flush, the route flip, the straggler drain, abort, and recovery are
+//! the one spine both modes share.
+//!
 //! Every phase transition is journaled through the same
 //! [`JournalPhase`] ledger the simulator's controller keeps, so a
 //! controller crash between any two transitions recovers through
@@ -83,6 +92,10 @@ const FWD_DRAIN: Duration = Duration::from_millis(200);
 /// (keeps single-move latency at the synchronous controller's level).
 const FWD_IDLE: Duration = Duration::from_millis(20);
 
+/// Rounds a P2P transfer gets to confirm every exported flow at the
+/// destination before the move aborts.
+const P2P_ATTEMPTS: u32 = 3;
+
 /// One requested op: state matching `filter` is moved, copied, or shared
 /// from worker `src` to worker `dst`.
 #[derive(Debug, Clone, Copy)]
@@ -96,22 +109,33 @@ pub struct OpSpec {
     /// What kind of op this is (admission locking and the state machine
     /// both key off it).
     pub kind: OpClass,
+    /// Moves only: the state travels directly worker → worker instead of
+    /// relaying through the controller. Crate-private so that
+    /// [`OpSpec::mv_p2p`] is the only way to set it.
+    pub(crate) p2p: bool,
 }
 
 impl OpSpec {
     /// A loss-free move of `filter` from `src` to `dst`.
     pub fn mv(src: usize, dst: usize, filter: Filter) -> Self {
-        OpSpec { src, dst, filter, kind: OpClass::Move }
+        OpSpec { src, dst, filter, kind: OpClass::Move, p2p: false }
+    }
+
+    /// A loss-free move whose bulk state transfer goes directly from
+    /// `src` to `dst` (footnote 10); the controller only reconciles the
+    /// two ends' summaries.
+    pub fn mv_p2p(src: usize, dst: usize, filter: Filter) -> Self {
+        OpSpec { p2p: true, ..Self::mv(src, dst, filter) }
     }
 
     /// A non-destructive copy of `filter` from `src` to `dst`.
     pub fn copy(src: usize, dst: usize, filter: Filter) -> Self {
-        OpSpec { src, dst, filter, kind: OpClass::Copy }
+        OpSpec { src, dst, filter, kind: OpClass::Copy, p2p: false }
     }
 
     /// A share (replication setup) of `filter` from `src` to `dst`.
     pub fn share(src: usize, dst: usize, filter: Filter) -> Self {
-        OpSpec { src, dst, filter, kind: OpClass::Share }
+        OpSpec { src, dst, filter, kind: OpClass::Share, p2p: false }
     }
 }
 
@@ -188,7 +212,9 @@ enum St {
     WaitEnable,
     /// Chunk batches streaming out of the source, puts pipelined into
     /// the destination (stays here until the last batch *and* every put
-    /// ack have landed).
+    /// ack have landed). In P2P mode: transfer rounds running worker →
+    /// worker (stays here until a round's two summaries reconcile with
+    /// nothing unconfirmed).
     Streaming,
     /// All state confirmed at the destination; `delPerflow` in flight at
     /// the source (move's copy-then-delete release).
@@ -198,13 +224,33 @@ enum St {
     FwdWait,
     /// Fenced `disableEvents` in flight; collecting the teardown flush.
     Settling,
-    /// Abort: fenced delete of already-shipped flows in flight at the
-    /// destination (FIFO behind any in-flight puts, so it covers them).
+    /// Abort: fenced purge of already-shipped flows in flight at the
+    /// destination ([`OpResidue::purge_call`]).
     AbortPurge,
     /// Abort: fenced `disableEvents` in flight at the source.
     AbortSettling,
     /// Terminal (result recorded).
     Done,
+}
+
+/// A P2P move's reconcile state across transfer rounds.
+#[derive(Default)]
+struct P2pRounds {
+    /// Rounds started so far.
+    round: u32,
+    /// The current round's source summary (`TransferExported`) landed.
+    exported: bool,
+    /// The current round's destination summary (`TransferDone`) landed.
+    done: bool,
+    /// Flows the destination has acknowledged: its cumulative
+    /// `TransferDone` summaries plus batch-granular `TransferProgress`
+    /// receipts. The receipts are what make a half-confirmed round cheap
+    /// — when the final summary itself is lost, the retry re-requests
+    /// only the flows no batch ever confirmed.
+    confirmed: HashSet<FlowId>,
+    /// Dedup of [`OpTask::flow_ids`]: a retry can re-export flows an
+    /// earlier round already listed.
+    listed: HashSet<FlowId>,
 }
 
 /// One in-flight op: everything the dispatch loop needs to route a
@@ -232,7 +278,9 @@ struct OpTask {
     deadline: Instant,
     /// Correlation id awaited in WaitEnable/Deleting/Settling/Abort*.
     wait_id: u64,
-    /// The streamed export's correlation id (all its batches share it).
+    /// The streamed export's correlation id (all its batches share it);
+    /// in P2P mode the current transfer round's (both ends answer under
+    /// it).
     get_id: u64,
     /// Next expected batch seq — a gap means the channel lost a batch.
     next_seq: u64,
@@ -244,6 +292,7 @@ struct OpTask {
     backlog: VecDeque<Vec<Chunk>>,
     /// Every flow id exported so far (the delete list).
     flow_ids: Vec<FlowId>,
+    p2p: P2pRounds,
     chunks: usize,
     bytes: usize,
     replayed: usize,
@@ -307,6 +356,7 @@ impl RtController {
                 // visible even before anything is admitted.
                 self.tel.gauge_set("engine.queue_depth", i as u64 + 1);
                 let kind_str = match spec.kind {
+                    OpClass::Move if spec.p2p => "move[LF PL+P2P]",
                     OpClass::Move => "move[LF PL]",
                     OpClass::Copy => "copy",
                     OpClass::Share => "share",
@@ -330,6 +380,7 @@ impl RtController {
                     put_ids: HashSet::new(),
                     backlog: VecDeque::new(),
                     flow_ids: Vec::new(),
+                    p2p: P2pRounds::default(),
                     chunks: 0,
                     bytes: 0,
                     replayed: 0,
@@ -432,7 +483,7 @@ impl RtController {
                     // Unmapped ids are stale (a failed op's still-streaming
                     // batches, a pre-crash echo): ignored by correlation.
                     if let Some(&ti) = by_req.get(&id) {
-                        self.on_reply(&mut tasks, ti, id, reply, &mut by_req, &mut locks);
+                        self.on_reply(&mut tasks[ti], ti, id, reply, &mut by_req, &mut locks);
                     }
                 }
                 Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
@@ -457,6 +508,8 @@ impl RtController {
                     self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
                     self.route_event(&mut tasks, worker, ev);
                 }
+                // An undecodable frame was counted and recorded where it
+                // was received; no op can claim it.
                 Recv::Msg(_) | Recv::Bad(_) | Recv::Timeout => {}
                 Recv::Disconnected => {
                     // Every worker is gone: nothing left to send teardown
@@ -484,12 +537,6 @@ impl RtController {
                 }),
             })
             .collect()
-    }
-
-    /// [`RtController::run_ops`] restricted by name to moves — kept for
-    /// callers from before the engine grew copy and share admission.
-    pub fn run_moves(&mut self, specs: Vec<OpSpec>) -> Vec<Result<MoveStats, RtError>> {
-        self.run_ops(specs)
     }
 
     /// Applies a state transition, recording it as a point event
@@ -546,26 +593,38 @@ impl RtController {
                 if self.jlog(t.op, JournalPhase::Armed, &t.report) {
                     return Ok(());
                 }
-                let sp = self.tel.begin_under(root, "copy.export");
-                t.phase = Some(sp);
-                let id = self.call_linked(
-                    t.spec.src,
-                    WireCall::GetPerflowChunked { filter: t.spec.filter, batch: STREAM_BATCH },
-                    sp.raw(),
-                )?;
-                t.get_id = id;
-                by_req.insert(id, ti);
-                t.deadline = Instant::now() + self.reply_timeout;
+                t.phase = Some(self.tel.begin_under(root, "copy.export"));
+                self.stream_export(t, ti, by_req)?;
                 self.set_st(t, St::Streaming);
             }
         }
         Ok(())
     }
 
+    /// Asks the source for its streamed export, linked to the open phase
+    /// span: batches flow back under one id while the puts pipeline them
+    /// into the destination.
+    fn stream_export(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+    ) -> Result<(), RtError> {
+        let id = self.call_linked(
+            t.spec.src,
+            WireCall::GetPerflowChunked { filter: t.spec.filter, batch: STREAM_BATCH },
+            t.phase.expect("stream span open").raw(),
+        )?;
+        t.get_id = id;
+        by_req.insert(id, ti);
+        t.deadline = Instant::now() + self.reply_timeout;
+        Ok(())
+    }
+
     /// Advances op `ti` on a correlated reply.
     fn on_reply(
         &mut self,
-        tasks: &mut [OpTask],
+        t: &mut OpTask,
         ti: usize,
         id: u64,
         reply: WireReply,
@@ -576,49 +635,70 @@ impl RtController {
             return;
         }
         if let WireReply::Error { message } = reply {
-            self.fail_op(&mut tasks[ti], ti, RtError::Wire(message), by_req, locks);
+            self.fail_op(t, ti, RtError::Wire(message), by_req, locks);
             return;
         }
-        let t = &mut tasks[ti];
         match t.st {
             St::WaitEnable if id == t.wait_id => {
                 by_req.remove(&id);
                 if self.jlog(t.op, JournalPhase::Armed, &t.report) {
                     return;
                 }
-                if t.spec.kind == OpClass::Share {
-                    // The arm round-trip is its own canonical phase for a
-                    // share; the initial sync streams under the next one.
+                let root = t.root.expect("root span open");
+                // The arm round-trip is its own canonical phase for a
+                // share (the initial sync streams under the next one) and
+                // for a P2P move (whose export *is* the transfer).
+                let next_phase = match t.spec.kind {
+                    OpClass::Share => Some("share.init_sync"),
+                    OpClass::Move if t.spec.p2p => Some("move.transfer"),
+                    _ => None,
+                };
+                if let Some(name) = next_phase {
                     if let Some(sp) = t.phase.take() {
                         self.tel.end(sp);
                     }
-                    let root = t.root.expect("root span open");
-                    t.phase = Some(self.tel.begin_under(root, "share.init_sync"));
+                    t.phase = Some(self.tel.begin_under(root, name));
                 }
-                // Stream the export: batches flow back under one id while
-                // the puts below pipeline them into the destination.
-                let stream = t.phase.expect("stream span open");
-                match self.call_linked(
-                    t.spec.src,
-                    WireCall::GetPerflowChunked {
-                        filter: t.spec.filter,
-                        batch: STREAM_BATCH,
-                    },
-                    stream.raw(),
-                ) {
-                    Ok(gid) => {
-                        t.get_id = gid;
-                        by_req.insert(gid, ti);
-                        t.deadline = Instant::now() + self.reply_timeout;
-                        self.set_st(t, St::Streaming);
+                let started = if t.spec.p2p {
+                    self.p2p_round(t, ti, by_req, Vec::new())
+                } else {
+                    self.stream_export(t, ti, by_req)
+                };
+                match started {
+                    Ok(()) => self.set_st(t, St::Streaming),
+                    Err(e) => self.fail_op(t, ti, e, by_req, locks),
+                }
+            }
+            St::Streaming if id == t.get_id && t.spec.p2p => {
+                match reply {
+                    WireReply::TransferExported { flow_ids, bytes } => {
+                        t.p2p.exported = true;
+                        t.bytes += bytes as usize;
+                        self.on_export_bytes(t.spec.src, bytes);
+                        let new: Vec<FlowId> =
+                            flow_ids.into_iter().filter(|f| t.p2p.listed.insert(*f)).collect();
+                        if let Some(res) = self.residue.get_mut(&t.op.0) {
+                            res.put_flows.extend(&new);
+                        }
+                        t.flow_ids.extend(new);
                     }
-                    Err(e) => self.fail_op(&mut tasks[ti], ti, e, by_req, locks),
+                    WireReply::TransferDone { imported } => {
+                        t.p2p.done = true;
+                        t.p2p.confirmed.extend(imported);
+                    }
+                    WireReply::TransferProgress { flow_ids, .. } => {
+                        t.p2p.confirmed.extend(flow_ids);
+                    }
+                    _ => {}
+                }
+                if t.p2p.exported && t.p2p.done {
+                    self.p2p_reconcile(t, ti, by_req, locks);
                 }
             }
             St::Streaming if id == t.get_id => {
                 let WireReply::ChunkBatch { seq, last, chunks } = reply else {
                     let e = RtError::Wire(format!("unexpected stream reply for {id}"));
-                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
+                    self.fail_op(t, ti, e, by_req, locks);
                     return;
                 };
                 // The channel is FIFO, so a seq gap means a batch was
@@ -629,7 +709,7 @@ impl RtController {
                         "chunk batch gap at src {}: got seq {seq}, expected {}",
                         t.spec.src, t.next_seq
                     ));
-                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
+                    self.fail_op(t, ti, e, by_req, locks);
                     return;
                 }
                 t.next_seq += 1;
@@ -637,15 +717,7 @@ impl RtController {
                 let batch_bytes = chunks.iter().map(|c| c.len()).sum::<usize>();
                 t.chunks += chunks.len();
                 t.bytes += batch_bytes;
-                // Feed the bandwidth accountant: this is what eventually
-                // dries the source's bucket and tightens its put window
-                // and stream cap.
-                let now_ns = self.tel.now_ns();
-                self.sched.on_bytes(t.spec.src, batch_bytes as u64, now_ns);
-                if self.tel.enabled() {
-                    let toks = self.sched.tokens(t.spec.src, now_ns);
-                    self.tel.gauge_set(&format!("sched.tokens.w{}", t.spec.src), toks);
-                }
+                self.on_export_bytes(t.spec.src, batch_bytes as u64);
                 t.flow_ids.extend(chunks.iter().map(|c| c.flow_id));
                 if let Some(res) = self.residue.get_mut(&t.op.0) {
                     res.put_flows.extend(chunks.iter().map(|c| c.flow_id));
@@ -656,44 +728,31 @@ impl RtController {
                 if last {
                     by_req.remove(&id);
                     t.export_done = true;
-                    match t.spec.kind {
-                        OpClass::Move => {
-                            if let Some(sp) = t.phase.take() {
-                                self.tel.end(sp);
-                            }
-                            let root = t.root.expect("root span open");
-                            t.phase = Some(self.tel.begin_under(root, "move.transfer"));
+                    // share.init_sync spans the whole stream + put
+                    // pipeline; it stays open until the sync settles.
+                    let next_phase = match t.spec.kind {
+                        OpClass::Move => Some("move.transfer"),
+                        OpClass::Copy => Some("copy.import"),
+                        OpClass::Share => None,
+                    };
+                    if let Some(name) = next_phase {
+                        if let Some(sp) = t.phase.take() {
+                            self.tel.end(sp);
                         }
-                        OpClass::Copy => {
-                            if let Some(sp) = t.phase.take() {
-                                self.tel.end(sp);
-                            }
-                            let root = t.root.expect("root span open");
-                            t.phase = Some(self.tel.begin_under(root, "copy.import"));
-                        }
-                        // share.init_sync spans the whole stream + put
-                        // pipeline; it stays open until the sync settles.
-                        OpClass::Share => {}
+                        let root = t.root.expect("root span open");
+                        t.phase = Some(self.tel.begin_under(root, name));
                     }
                     if self.jlog(t.op, JournalPhase::ExportDone, &t.report) {
                         return;
                     }
                 }
-                if let Err(e) = self.pump_puts(&mut tasks[ti], ti, by_req) {
-                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
-                    return;
-                }
-                self.maybe_finish_transfer(tasks, ti, by_req, locks);
+                self.pump_and_finish(t, ti, by_req, locks);
             }
             St::Streaming if t.put_ids.contains(&id) => {
                 t.put_ids.remove(&id);
                 by_req.remove(&id);
                 t.deadline = Instant::now() + self.reply_timeout;
-                if let Err(e) = self.pump_puts(&mut tasks[ti], ti, by_req) {
-                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
-                    return;
-                }
-                self.maybe_finish_transfer(tasks, ti, by_req, locks);
+                self.pump_and_finish(t, ti, by_req, locks);
             }
             St::Deleting if id == t.wait_id => {
                 by_req.remove(&id);
@@ -716,7 +775,7 @@ impl RtController {
                     Ok(n) => t.replayed += n,
                     Err(e) => {
                         self.tel.end(sp);
-                        self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
+                        self.fail_op(t, ti, e, by_req, locks);
                         return;
                     }
                 }
@@ -734,56 +793,150 @@ impl RtController {
             }
             St::Settling if id == t.wait_id => {
                 by_req.remove(&id);
-                self.finalize_commit(&mut tasks[ti], locks);
+                self.finalize_commit(t, locks);
             }
             St::AbortPurge if id == t.wait_id => {
                 by_req.remove(&id);
-                self.abort_settle(&mut tasks[ti], ti, by_req, locks);
+                self.abort_settle(t, ti, by_req, locks);
             }
             St::AbortSettling if id == t.wait_id => {
                 by_req.remove(&id);
-                self.finalize_abort(&mut tasks[ti], locks);
+                self.finalize_abort(t, locks);
             }
             _ => {}
         }
     }
 
-    /// Issues queued put batches up to the backpressure window the
-    /// scheduler currently allows for this op's source.
-    fn pump_puts(
+    /// Feeds the bandwidth accountant with bytes a source just exported:
+    /// this is what eventually dries the source's bucket and tightens its
+    /// put window and stream cap.
+    fn on_export_bytes(&mut self, src: usize, bytes: u64) {
+        let now_ns = self.tel.now_ns();
+        self.sched.on_bytes(src, bytes, now_ns);
+        if self.tel.enabled() {
+            let toks = self.sched.tokens(src, now_ns);
+            self.tel.gauge_set(&format!("sched.tokens.w{src}"), toks);
+        }
+    }
+
+    /// Starts one P2P transfer round: the source exports the flows in
+    /// `only` (empty = everything matching the filter) straight to the
+    /// destination; both ends answer under the round's correlation id.
+    /// The round's deadline runs from here and is not extended by
+    /// receipts — when it passes, whatever was confirmed is reconciled.
+    fn p2p_round(
         &mut self,
         t: &mut OpTask,
         ti: usize,
         by_req: &mut HashMap<u64, usize>,
+        only: Vec<FlowId>,
     ) -> Result<(), RtError> {
-        let window = self.sched.put_window(t.spec.src, self.tel.now_ns());
-        while t.put_ids.len() < window {
-            let Some(chunks) = t.backlog.pop_front() else { break };
-            let id = self.call(t.spec.dst, WireCall::PutPerflow { chunks })?;
-            t.put_ids.insert(id);
-            by_req.insert(id, ti);
-            t.deadline = Instant::now() + self.reply_timeout;
+        let id = self.call_linked(
+            t.spec.src,
+            WireCall::TransferPerflow { filter: t.spec.filter, peer: t.spec.dst, only },
+            t.phase.expect("transfer span open").raw(),
+        )?;
+        t.get_id = id;
+        by_req.insert(id, ti);
+        t.p2p.round += 1;
+        t.p2p.exported = false;
+        t.p2p.done = false;
+        // From here on a rollback must tombstone this round too.
+        if let Some(res) = self.residue.get_mut(&t.op.0) {
+            res.p2p_through = Some(id);
         }
+        t.deadline = Instant::now() + self.reply_timeout;
         Ok(())
     }
 
-    /// Once the last batch and every put ack are in, the transfer phase is
-    /// over: journal `Transferred` and take the kind's release step. A
-    /// move deletes at the source (copy-then-delete — the source keeps
-    /// its copy until this point, so any earlier abort rolls back without
-    /// loss); a copy is simply done; a share tears its sync filter down
-    /// and replays the buffered updates back to the source.
-    fn maybe_finish_transfer(
+    /// Closes a P2P round — both summaries landed, or its deadline passed
+    /// with one missing — and reconciles what the source says it shipped
+    /// against what the destination confirmed: done, one narrower round
+    /// for the gap (a dropped batch costs a round, not the move), or out
+    /// of attempts.
+    fn p2p_reconcile(
         &mut self,
-        tasks: &mut [OpTask],
+        t: &mut OpTask,
         ti: usize,
         by_req: &mut HashMap<u64, usize>,
         locks: &mut Locks,
     ) {
-        let t = &mut tasks[ti];
-        if !(t.export_done && t.put_ids.is_empty() && t.backlog.is_empty()) {
+        by_req.remove(&t.get_id);
+        let gap: Vec<FlowId> =
+            t.flow_ids.iter().filter(|f| !t.p2p.confirmed.contains(f)).copied().collect();
+        // Complete only when this round's *both* summaries landed and
+        // every exported flow is confirmed — a missing summary retries
+        // even with an empty gap, because the export list is then possibly
+        // incomplete.
+        if t.p2p.exported && t.p2p.done && gap.is_empty() {
+            t.export_done = true;
+            t.chunks = t.flow_ids.len();
+            if !self.jlog(t.op, JournalPhase::ExportDone, &t.report) {
+                self.finish_transfer(t, ti, by_req, locks);
+            }
             return;
         }
+        self.tel.event("move.p2p_round", Some(format!("xfer={} missing={}", t.get_id, gap.len())));
+        if t.p2p.round == P2P_ATTEMPTS {
+            let e = RtError::Wire(format!(
+                "P2P transfer incomplete after {P2P_ATTEMPTS} attempts ({} flows unconfirmed)",
+                gap.len()
+            ));
+            t.report.p2p_inflight = gap;
+            self.fail_op(t, ti, e, by_req, locks);
+            return;
+        }
+        self.tel.counter("rt.p2p.retry_rounds").fetch_add(1, Ordering::Relaxed);
+        self.tel.counter("rt.p2p.refetch_flows").fetch_add(gap.len() as u64, Ordering::Relaxed);
+        t.report.retries += 1;
+        if let Err(e) = self.p2p_round(t, ti, by_req, gap) {
+            self.fail_op(t, ti, e, by_req, locks);
+        }
+    }
+
+    /// Issues queued put batches up to the backpressure window the
+    /// scheduler currently allows for this op's source, then — once the
+    /// last batch and every put ack are in — ends the transfer phase.
+    fn pump_and_finish(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
+        let window = self.sched.put_window(t.spec.src, self.tel.now_ns());
+        while t.put_ids.len() < window {
+            let Some(chunks) = t.backlog.pop_front() else { break };
+            match self.call(t.spec.dst, WireCall::PutPerflow { chunks }) {
+                Ok(id) => {
+                    t.put_ids.insert(id);
+                    by_req.insert(id, ti);
+                    t.deadline = Instant::now() + self.reply_timeout;
+                }
+                Err(e) => {
+                    self.fail_op(t, ti, e, by_req, locks);
+                    return;
+                }
+            }
+        }
+        if t.export_done && t.put_ids.is_empty() && t.backlog.is_empty() {
+            self.finish_transfer(t, ti, by_req, locks);
+        }
+    }
+
+    /// Every exported flow is confirmed at the destination: journal
+    /// `Transferred` and take the kind's release step. A move deletes at
+    /// the source (copy-then-delete — the source keeps its copy until this
+    /// point, so any earlier abort rolls back without loss); a copy is
+    /// simply done; a share tears its sync filter down and replays the
+    /// buffered updates back to the source.
+    fn finish_transfer(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
         if let Some(sp) = t.phase.take() {
             self.tel.end(sp);
         }
@@ -807,13 +960,13 @@ impl RtController {
                         t.deadline = Instant::now() + self.reply_timeout;
                         self.set_st(t, St::Deleting);
                     }
-                    Err(e) => self.fail_op(&mut tasks[ti], ti, e, by_req, locks),
+                    Err(e) => self.fail_op(t, ti, e, by_req, locks),
                 }
             }
             OpClass::Copy => {
                 // Non-destructive and never armed: the clone is complete
                 // the moment every put acked.
-                self.finalize_commit(&mut tasks[ti], locks);
+                self.finalize_commit(t, locks);
             }
             OpClass::Share => {
                 // The replica is seeded; tear the sync filter down. The
@@ -827,7 +980,7 @@ impl RtController {
                         t.deadline = Instant::now() + self.reply_timeout;
                         self.set_st(t, St::Settling);
                     }
-                    Err(_) => self.finalize_commit(&mut tasks[ti], locks),
+                    Err(_) => self.finalize_commit(t, locks),
                 }
             }
         }
@@ -917,6 +1070,11 @@ impl RtController {
                         Err(_) => self.finalize_commit(t, locks),
                     }
                 }
+                // A P2P round that ran out of time is an outcome to
+                // reconcile, not an op failure.
+                St::Streaming if t.spec.p2p && now >= t.deadline => {
+                    self.p2p_reconcile(t, ti, by_req, locks);
+                }
                 St::WaitEnable | St::Streaming | St::Deleting if now >= t.deadline => {
                     let id = t.wait_id;
                     self.fail_op(t, ti, RtError::Timeout { id }, by_req, locks);
@@ -970,10 +1128,8 @@ impl RtController {
         self.sched.on_completed(&done);
     }
 
-    /// Starts tearing a failed op down. Pre-release failures first purge
-    /// the partial import at the destination — sent on the same link as
-    /// the puts, so FIFO ordering makes the delete cover every put still
-    /// in flight ahead of it.
+    /// Starts tearing a failed op down. Pre-flip failures first purge the
+    /// partial import at the destination ([`OpResidue::purge_call`]).
     fn fail_op(
         &mut self,
         t: &mut OpTask,
@@ -998,14 +1154,10 @@ impl RtController {
         }
         t.backlog.clear();
         t.err = Some(e);
-        let shipped = self
-            .residue
-            .get(&t.op.0)
-            .map(|r| r.put_flows.clone())
-            .unwrap_or_default();
-        if !t.flipped && !shipped.is_empty() {
-            if let Ok(id) = self.call_fenced(t.spec.dst, WireCall::DelPerflow { flow_ids: shipped })
-            {
+        let purge =
+            self.residue.get(&t.op.0).and_then(OpResidue::purge_call).filter(|_| !t.flipped);
+        if let Some(purge) = purge {
+            if let Ok(id) = self.call_fenced(t.spec.dst, purge) {
                 t.wait_id = id;
                 by_req.insert(id, ti);
                 t.deadline = Instant::now() + self.reply_timeout;

@@ -4,8 +4,8 @@
 //!
 //! Each shard owns a contiguous run of workers and runs the ordinary
 //! single-controller protocol against them. A move whose source and
-//! destination live in the *same* shard delegates to that shard's
-//! [`RtController`] unchanged. A move that *crosses* shards executes as a
+//! destination live in the *same* shard is submitted to that shard's
+//! op engine unchanged. A move that *crosses* shards executes as a
 //! two-shard handoff: the owning shard (the source's) drives the §5.1
 //! phase sequence, and everything destined for the peer shard — imported
 //! chunks, buffered-event replays, the commit/abort release — travels as
@@ -32,11 +32,13 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use opennf_controller::{JournalPhase, OpId, OpReport};
 use opennf_nf::{Chunk, EventedNf, NetworkFunction};
 use opennf_packet::{Filter, FlowId, Packet};
+use opennf_sched::OpClass;
 use opennf_telemetry::Telemetry;
 use opennf_util::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{MoveStats, RtController};
+use crate::engine::OpSpec;
 use crate::error::RtError;
 use crate::faults::{FaultyChannel, RtFaults};
 use crate::router::Router;
@@ -135,21 +137,12 @@ impl ShardedRt {
         Self::build(shard_nfs, None, tel).0
     }
 
-    /// Like [`ShardedRt::new_with_telemetry`], with shard 0's channels
-    /// running through a [`FaultyChannel`] armed with `plan`. See
-    /// [`ShardedRt::new_with_faults_on`] for targeting another shard.
-    pub fn new_with_faults_and_telemetry(
-        shard_nfs: Vec<Vec<Box<dyn NetworkFunction>>>,
-        plan: FaultPlan,
-        tel: Telemetry,
-    ) -> (Self, Arc<RtFaults>) {
-        Self::new_with_faults_on(shard_nfs, plan, 0, tel)
-    }
-
-    /// Arms `plan` on shard `fault_shard`'s channels (only). Faults stay
-    /// confined to one shard: the plan's node ids name that shard's
-    /// *local* workers, and mapping them across shard boundaries would
-    /// silently re-target them. Returns the shared [`RtFaults`] ledger.
+    /// Like [`ShardedRt::new_with_telemetry`], with shard `fault_shard`'s
+    /// channels (only) running through a [`FaultyChannel`] armed with
+    /// `plan`. Faults stay confined to one shard: the plan's node ids name
+    /// that shard's *local* workers, and mapping them across shard
+    /// boundaries would silently re-target them. Returns the shared
+    /// [`RtFaults`] ledger.
     pub fn new_with_faults_on(
         shard_nfs: Vec<Vec<Box<dyn NetworkFunction>>>,
         plan: FaultPlan,
@@ -248,7 +241,7 @@ impl ShardedRt {
     }
 
     /// Data-plane sender toward *global* worker `g` (fault-shimmed on
-    /// shard 0 when a plan is armed).
+    /// the fault shard when a plan is armed).
     pub fn data_tx(&self, g: usize) -> FaultyChannel {
         let (k, l) = self.map[g];
         self.shards[k].data_tx(l)
@@ -292,91 +285,44 @@ impl ShardedRt {
         self.shards.iter().map(|s| s.journal_json()).collect::<Vec<_>>().join("\n")
     }
 
-    /// Runs a batch of *same-shard* moves through each owning shard's
-    /// concurrent op engine ([`RtController::run_moves`]): specs are
-    /// `(src, dst, filter)` in global worker indices, results come back
-    /// in spec order, and committed routes are mirrored into the global
-    /// table. Specs whose endpoints straddle a shard boundary fail with
-    /// a wire error — cross-shard moves keep the two-shard handoff path
-    /// ([`ShardedRt::move_flows_cross`]).
-    pub fn run_moves(
-        &mut self,
-        specs: Vec<(usize, usize, Filter)>,
-    ) -> Vec<Result<MoveStats, RtError>> {
-        self.last_abort_lost.clear();
-        let mut results: Vec<Option<Result<MoveStats, RtError>>> =
-            specs.iter().map(|_| None).collect();
-        // Group by owning shard, preserving submission order within each.
-        let mut per_shard: Vec<Vec<(usize, crate::engine::OpSpec)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (i, &(src, dst, filter)) in specs.iter().enumerate() {
-            let (sa, a_l) = self.map[src];
-            let (sb, b_l) = self.map[dst];
-            if sa != sb {
-                results[i] = Some(Err(RtError::Wire(format!(
-                    "run_moves is same-shard only: {src} is on shard {sa}, {dst} on {sb}"
-                ))));
-                continue;
-            }
-            per_shard[sa].push((i, crate::engine::OpSpec::mv(a_l, b_l, filter)));
-        }
-        for (k, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let (idxs, shard_specs): (Vec<usize>, Vec<crate::engine::OpSpec>) =
-                batch.into_iter().unzip();
-            let outcomes = self.shards[k].run_moves(shard_specs);
-            self.last_abort_lost.extend(self.shards[k].abort_lost().iter().copied());
-            for (i, r) in idxs.into_iter().zip(outcomes) {
-                if r.is_ok() {
-                    let (_, dst, filter) = specs[i];
-                    self.router.install(10, filter, dst);
-                }
-                results[i] = Some(r);
-            }
-        }
-        results.into_iter().map(|r| r.expect("every spec resolved")).collect()
-    }
-
     /// Shuts every shard down, shard-major — harness order matches the
     /// global worker order.
     pub fn shutdown(self) -> Vec<EventedNf> {
         self.shards.into_iter().flat_map(RtController::shutdown).collect()
     }
 
-    /// Moves all flows matching `filter` from global worker `src` to
-    /// global worker `dst`, loss-free.
+    /// Runs one op whose `src`/`dst` are *global* worker indices.
     ///
-    /// * Same shard: delegates to that shard's
-    ///   [`RtController::move_flows_p2p`] (when `p2p`) or
-    ///   [`RtController::move_flows_lossfree`], then mirrors the committed
-    ///   route into the global table.
-    /// * Cross shard: the source's shard drives the five-phase handoff;
-    ///   chunks and replays reach the destination's shard as [`EwMsg`]
-    ///   frames. `p2p` is accepted but the transfer still relays through
-    ///   the controllers — the shard boundary owns connectivity.
-    pub fn move_flows_cross(
-        &mut self,
-        src: usize,
-        dst: usize,
-        filter: Filter,
-        p2p: bool,
-    ) -> Result<MoveStats, RtError> {
+    /// * Same shard: the spec is translated to that shard's local indices
+    ///   and submitted to its engine ([`RtController::run_ops`]) as is —
+    ///   any kind, either transfer mode; a committed move's route is
+    ///   mirrored into the global table.
+    /// * Cross shard (moves only): the source's shard drives the
+    ///   five-phase handoff; chunks and replays reach the destination's
+    ///   shard as [`EwMsg`] frames. The spec's transfer mode is ignored:
+    ///   the transfer always relays through the controllers, because the
+    ///   shard boundary owns connectivity.
+    pub fn move_flows_cross(&mut self, spec: OpSpec) -> Result<MoveStats, RtError> {
+        let OpSpec { src, dst, filter, kind, .. } = spec;
         let (sa, a_l) = self.map[src];
         let (sb, b_l) = self.map[dst];
         self.last_abort_lost.clear();
         if sa == sb {
-            let r = if p2p {
-                self.shards[sa].move_flows_p2p(a_l, b_l, filter)
-            } else {
-                self.shards[sa].move_flows_lossfree(a_l, b_l, filter)
-            };
+            let r = self.shards[sa]
+                .run_ops(vec![OpSpec { src: a_l, dst: b_l, ..spec }])
+                .pop()
+                .expect("one spec in, one result out");
             self.last_abort_lost = self.shards[sa].abort_lost().to_vec();
-            if r.is_ok() {
+            if r.is_ok() && kind == OpClass::Move {
                 self.router.install(10, filter, dst);
             }
             return r;
+        }
+        if kind != OpClass::Move {
+            return Err(RtError::Wire(format!(
+                "cross-shard {} is not supported: only moves hand off east-west",
+                kind.name()
+            )));
         }
 
         // The op id comes from the owning shard's mint so the handoff's
@@ -708,7 +654,7 @@ mod tests {
         while sent.load(Ordering::Acquire) < 200 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = ctrl.move_flows_cross(0, 1, Filter::any(), false).expect("handoff succeeds");
+        let stats = ctrl.move_flows_cross(OpSpec::mv(0, 1, Filter::any())).expect("handoff succeeds");
         assert_eq!(stats.chunks, 40, "all 40 flows handed over");
         assert!(stats.bytes > 0);
         assert!(
@@ -751,7 +697,7 @@ mod tests {
             ctrl.inject(pkt(uid, (uid % 4) as u16)).unwrap();
         }
         ctrl.quiesce(0).unwrap();
-        ctrl.move_flows_cross(0, 1, Filter::any(), true).expect("handoff succeeds");
+        ctrl.move_flows_cross(OpSpec::mv_p2p(0, 1, Filter::any())).expect("handoff succeeds");
         assert_eq!(
             tel.span_sequence("move."),
             ["move.export", "move.transfer", "move.import", "move.flush", "move.fwd_update"],
@@ -770,7 +716,7 @@ mod tests {
             ctrl.inject(pkt(uid, (uid % 4) as u16)).unwrap();
         }
         ctrl.quiesce(0).unwrap();
-        let stats = ctrl.move_flows_cross(0, 1, Filter::any(), true).expect("p2p move succeeds");
+        let stats = ctrl.move_flows_cross(OpSpec::mv_p2p(0, 1, Filter::any())).expect("p2p move succeeds");
         assert_eq!(stats.chunks, 4);
         // The committed route is visible in the *global* table.
         assert_eq!(ctrl.router.route(&pkt(99, 1)), Some(1));

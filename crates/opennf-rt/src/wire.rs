@@ -282,23 +282,16 @@ impl WireMsg {
 }
 
 /// A reusable frame assembler: messages accumulated since the last
-/// [`finish`](FrameBuf::finish) are coalesced into one channel payload.
+/// [`finish`](FrameBuf::finish) are coalesced into one channel payload, a
+/// length-prefixed netstring run (`#<len>:<json><len>:<json>…`) that skips
+/// the closing-bracket scan on decode. State digests are independent of
+/// the framing (they hash NF chunks, not wire bytes).
 ///
-/// Frames are length-prefixed netstring runs by default
-/// (`#<len>:<json><len>:<json>…`), which skip the closing-bracket scan on
-/// decode. The `json-wire` feature restores the original framing: a
-/// single message byte-identical to [`WireMsg::to_json`], several
-/// messages as a JSON array of wire objects. [`decode_frame`] understands
-/// all three forms unconditionally, so mixed-feature peers interoperate
-/// and old captures still parse. State digests are independent of the
-/// framing either way (they hash NF chunks, not wire bytes).
-///
-/// The internal buffer keeps its capacity across frames, so steady-state
-/// encoding does no per-message allocation.
+/// The internal buffers keep their capacity across frames, so
+/// steady-state encoding does no per-message allocation.
 #[derive(Default)]
 pub struct FrameBuf {
     scratch: String,
-    #[cfg(not(feature = "json-wire"))]
     tmp: String,
     count: usize,
 }
@@ -311,22 +304,14 @@ impl FrameBuf {
 
     /// Appends one message to the frame under assembly.
     pub fn push(&mut self, msg: &WireMsg) {
-        #[cfg(not(feature = "json-wire"))]
-        {
-            use std::fmt::Write;
-            self.tmp.clear();
-            msg.write_json(&mut self.tmp);
-            if self.count == 0 {
-                self.scratch.push('#');
-            }
-            let _ = write!(self.scratch, "{}:", self.tmp.len());
-            self.scratch.push_str(&self.tmp);
+        use std::fmt::Write;
+        self.tmp.clear();
+        msg.write_json(&mut self.tmp);
+        if self.count == 0 {
+            self.scratch.push('#');
         }
-        #[cfg(feature = "json-wire")]
-        {
-            self.scratch.push(if self.count == 0 { '[' } else { ',' });
-            msg.write_json(&mut self.scratch);
-        }
+        let _ = write!(self.scratch, "{}:", self.tmp.len());
+        self.scratch.push_str(&self.tmp);
         self.count += 1;
     }
 
@@ -343,62 +328,41 @@ impl FrameBuf {
     /// Takes the assembled frame, leaving the assembler empty (capacity
     /// retained). `None` when nothing was pushed.
     pub fn finish(&mut self) -> Option<String> {
-        let out = match self.count {
-            0 => None,
-            // Single message: strip the array framing so the payload is
-            // exactly the bare wire form (digest-stable).
-            1 if cfg!(feature = "json-wire") => Some(self.scratch[1..].to_string()),
-            _ => {
-                if cfg!(feature = "json-wire") {
-                    self.scratch.push(']');
-                }
-                Some(self.scratch.clone())
-            }
-        };
+        if self.count == 0 {
+            return None;
+        }
+        let out = self.scratch.clone();
         self.scratch.clear();
         self.count = 0;
-        out
+        Some(out)
     }
 }
 
-/// Decodes one channel payload into the messages it frames. Accepts every
-/// form a [`FrameBuf`] can emit regardless of compile-time features: a
-/// bare JSON object (single message), a JSON array batch, or a
-/// `#`-prefixed netstring batch.
+/// Decodes one channel payload into the messages it frames. Two forms are
+/// on the wire: the `#`-prefixed netstring run a [`FrameBuf`] emits, and a
+/// bare JSON object ([`WireMsg::to_json`] — single unframed sends).
+/// Anything else, a JSON array included, is an error.
 pub fn decode_frame(raw: &str) -> Result<Vec<WireMsg>, serde_json::Error> {
-    match raw.as_bytes().first() {
-        Some(b'[') => {
-            let v = serde::Value::parse_json(raw).map_err(serde_json::Error)?;
-            let arr = v
-                .as_array()
-                .ok_or_else(|| serde_json::Error("frame is not an array".into()))?;
-            arr.iter()
-                .map(|e| {
-                    use serde::Deserialize;
-                    WireMsg::from_value(e).map_err(serde_json::Error::from)
-                })
-                .collect()
-        }
-        Some(b'#') => {
-            let mut rest = &raw[1..];
-            let mut out = Vec::new();
-            while !rest.is_empty() {
-                let colon = rest
-                    .find(':')
-                    .ok_or_else(|| serde_json::Error("netstring missing ':'".into()))?;
-                let len: usize = rest[..colon]
-                    .parse()
-                    .map_err(|_| serde_json::Error("netstring bad length".into()))?;
-                let body = rest
-                    .get(colon + 1..colon + 1 + len)
-                    .ok_or_else(|| serde_json::Error("netstring truncated".into()))?;
-                out.push(WireMsg::from_json(body)?);
-                rest = &rest[colon + 1 + len..];
-            }
-            Ok(out)
-        }
-        _ => WireMsg::from_json(raw).map(|m| vec![m]),
+    let Some(mut rest) = raw.strip_prefix('#') else {
+        return WireMsg::from_json(raw).map(|m| vec![m]);
+    };
+    let truncated = || serde_json::Error("netstring truncated".into());
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let colon =
+            rest.find(':').ok_or_else(|| serde_json::Error("netstring missing ':'".into()))?;
+        let len: usize = rest[..colon]
+            .parse()
+            .map_err(|_| serde_json::Error("netstring bad length".into()))?;
+        // The length is peer-controlled: a hostile prefix must not
+        // overflow the end offset, and one that lands inside a UTF-8
+        // codepoint must not slice there.
+        let end = (colon + 1).checked_add(len).ok_or_else(truncated)?;
+        let body = rest.get(colon + 1..end).ok_or_else(truncated)?;
+        out.push(WireMsg::from_json(body)?);
+        rest = &rest[end..];
     }
+    Ok(out)
 }
 
 /// Encodes a run of messages into channel payloads the way the runtime
@@ -536,15 +500,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "json-wire"), ignore = "compact frames are not bare JSON")]
-    fn single_message_frame_is_byte_identical_to_to_json() {
-        let msgs = sample_msgs(1);
-        let mut buf = FrameBuf::new();
-        buf.push(&msgs[0]);
-        assert_eq!(buf.finish().unwrap(), msgs[0].to_json());
-    }
-
-    #[test]
     fn frames_roundtrip_in_order() {
         let msgs = sample_msgs(10);
         let frames = encode_frames(&msgs, 4);
@@ -559,24 +514,40 @@ mod tests {
         }
     }
 
+    /// The netstring format, pinned byte for byte: `#`, then per message
+    /// its JSON length in decimal, `:`, and the JSON itself.
     #[test]
-    fn decode_frame_accepts_all_wire_forms() {
-        let msgs = sample_msgs(3);
-        // Bare single object.
-        let one = decode_frame(&msgs[0].to_json()).unwrap();
-        assert_eq!(one.len(), 1);
-        // JSON array batch.
-        let arr = format!("[{},{}]", msgs[0].to_json(), msgs[1].to_json());
-        assert_eq!(decode_frame(&arr).unwrap().len(), 2);
-        // Netstring batch.
-        let (a, b) = (msgs[1].to_json(), msgs[2].to_json());
-        let net = format!("#{}:{}{}:{}", a.len(), a, b.len(), b);
-        let got = decode_frame(&net).unwrap();
+    fn two_message_frame_is_golden_bytes() {
+        let msgs = [
+            WireMsg::Request { id: 7, call: WireCall::GetAllflows, span: None },
+            WireMsg::Response { id: 7, reply: WireReply::Done },
+        ];
+        let frames = encode_frames(&msgs, 2);
+        assert_eq!(
+            frames,
+            [concat!(
+                r##"#68:{"type":"request","id":7,"call":{"call":"get_allflows"},"span":null}"##,
+                r##"51:{"type":"response","id":7,"reply":{"reply":"done"}}"##
+            )]
+        );
+        let got = decode_frame(&frames[0]).unwrap();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].to_json(), a);
-        // Truncated netstring is an error, not a panic.
+        // The other form on the wire: one bare object.
+        assert_eq!(decode_frame(&msgs[1].to_json()).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn hostile_frames_are_errors_not_panics() {
+        let one = sample_msgs(1)[0].to_json();
+        // The retired JSON-array framing.
+        assert!(decode_frame(&format!("[{one}]")).is_err());
+        // Truncated body, and a length whose end offset overflows usize.
         assert!(decode_frame("#999:{\"type\"").is_err());
-        assert!(decode_frame("[{\"type\":\"nope\"}]").is_err());
+        assert!(decode_frame("#18446744073709551615:{}").is_err());
+        // A length that lands inside the two-byte 'é'.
+        assert!(decode_frame("#1:é").is_err());
+        assert!(decode_frame("#x:{}").is_err());
+        assert!(decode_frame("#2{}").is_err());
     }
 
     #[test]

@@ -52,11 +52,14 @@ fn conn_counts(ctrl: RtController) -> (usize, usize) {
 }
 
 /// Crash the engine right after each of the five non-terminal journal
-/// appends. Every run must surface `CtrlCrashed`, recover to the phase's
-/// mandated terminal (fail forward at `Transferred`+, roll back before),
-/// and leave all 30 flows intact at exactly the endpoint that terminal
-/// implies — then complete a fresh move, proving the controller is not
-/// poisoned.
+/// appends, in both transfer modes. Every run must surface `CtrlCrashed`,
+/// recover to the phase's mandated terminal (fail forward at
+/// `Transferred`+, roll back before), and leave all 30 flows intact at
+/// exactly the endpoint that terminal implies — then complete a fresh
+/// move, proving the controller is not poisoned. A rollback must also
+/// leave nothing behind at the destination: at `ExportDone` a P2P move has
+/// already landed every flow there worker → worker, so an empty
+/// destination means recovery's `AbortTransfer` purge ran.
 #[test]
 fn crash_at_every_phase_recovers_to_the_mandated_terminal() {
     let phases = [
@@ -66,40 +69,59 @@ fn crash_at_every_phase_recovers_to_the_mandated_terminal() {
         (JournalPhase::Imported, true),
         (JournalPhase::Flushed, true),
     ];
-    for (phase, forward) in phases {
-        let mut ctrl = loaded_controller();
-        ctrl.crash_after(phase);
-        let res = ctrl.run_moves(vec![OpSpec::mv(0, 1, Filter::any())]);
-        assert!(
-            matches!(res[0], Err(RtError::CtrlCrashed)),
-            "{phase:?}: crashed op must fail with CtrlCrashed, got {:?}",
-            res[0]
-        );
-        assert!(ctrl.is_crashed(), "{phase:?}: crash hook fired");
+    type Mv = fn(usize, usize, Filter) -> OpSpec;
+    for (mode, mv) in [("relayed", OpSpec::mv as Mv), ("p2p", OpSpec::mv_p2p)] {
+        for (phase, forward) in phases {
+            let crashed_and_recovered = || {
+                let mut ctrl = loaded_controller();
+                ctrl.crash_after(phase);
+                let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
+                assert!(
+                    matches!(res[0], Err(RtError::CtrlCrashed)),
+                    "{mode} {phase:?}: crashed op must fail with CtrlCrashed, got {:?}",
+                    res[0]
+                );
+                assert!(ctrl.is_crashed(), "{mode} {phase:?}: crash hook fired");
 
-        let outcomes = ctrl.recover();
-        let expected = if forward { JournalPhase::Committed } else { JournalPhase::Aborted };
-        assert_eq!(outcomes.len(), 1, "{phase:?}: one op recovered");
-        assert_eq!(outcomes[0].1, expected, "{phase:?}: terminal phase");
-        let last = ctrl.journal().records.last().expect("journal non-empty");
-        assert_eq!(last.phase, expected, "{phase:?}: journal ends terminal");
-        assert!(!ctrl.is_crashed(), "{phase:?}: recovery clears the crash flag");
+                let outcomes = ctrl.recover();
+                let expected =
+                    if forward { JournalPhase::Committed } else { JournalPhase::Aborted };
+                assert_eq!(outcomes.len(), 1, "{mode} {phase:?}: one op recovered");
+                assert_eq!(outcomes[0].1, expected, "{mode} {phase:?}: terminal phase");
+                let last = ctrl.journal().records.last().expect("journal non-empty");
+                assert_eq!(last.phase, expected, "{mode} {phase:?}: journal ends terminal");
+                assert!(!ctrl.is_crashed(), "{mode} {phase:?}: recovery clears the crash flag");
+                ctrl
+            };
 
-        // The controller survives recovery: the follow-up move (from
-        // wherever recovery left the state) completes normally.
-        let (src, dst) = if forward { (1, 0) } else { (0, 1) };
-        let stats = ctrl
-            .run_moves(vec![OpSpec::mv(src, dst, Filter::any())])
-            .remove(0)
-            .unwrap_or_else(|e| panic!("{phase:?}: post-recovery move failed: {e}"));
-        assert_eq!(stats.chunks, FLOWS as usize, "{phase:?}: post-recovery move is whole");
+            // Where recovery itself left the state.
+            let expected = if forward { (0, FLOWS as usize) } else { (FLOWS as usize, 0) };
+            assert_eq!(
+                conn_counts(crashed_and_recovered()),
+                expected,
+                "{mode} {phase:?}: state whole at exactly one endpoint after recovery"
+            );
 
-        // The follow-up move put everything at `dst`; nothing was lost or
-        // duplicated by the crash + recovery + re-move sequence.
-        let (m0, m1) = conn_counts(ctrl);
-        let (at_dst, at_src) = if dst == 1 { (m1, m0) } else { (m0, m1) };
-        assert_eq!(at_dst, FLOWS as usize, "{phase:?}: all flows at final dst");
-        assert_eq!(at_src, 0, "{phase:?}: final src fully released");
+            // The controller survives recovery: the follow-up move (from
+            // wherever recovery left the state) completes normally.
+            let mut ctrl = crashed_and_recovered();
+            let (src, dst) = if forward { (1, 0) } else { (0, 1) };
+            let stats = ctrl
+                .run_ops(vec![mv(src, dst, Filter::any())])
+                .remove(0)
+                .unwrap_or_else(|e| panic!("{mode} {phase:?}: post-recovery move failed: {e}"));
+            assert_eq!(
+                stats.chunks, FLOWS as usize,
+                "{mode} {phase:?}: post-recovery move is whole"
+            );
+
+            // The follow-up move put everything at `dst`; nothing was lost
+            // or duplicated by the crash + recovery + re-move sequence.
+            let (m0, m1) = conn_counts(ctrl);
+            let (at_dst, at_src) = if dst == 1 { (m1, m0) } else { (m0, m1) };
+            assert_eq!(at_dst, FLOWS as usize, "{mode} {phase:?}: all flows at final dst");
+            assert_eq!(at_src, 0, "{mode} {phase:?}: final src fully released");
+        }
     }
 }
 
@@ -178,7 +200,7 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
         // The event filter is torn down either way: a follow-up move
         // (which arms its own filter at the same source) runs clean.
         let stats = ctrl
-            .run_moves(vec![OpSpec::mv(0, 1, Filter::any())])
+            .run_ops(vec![OpSpec::mv(0, 1, Filter::any())])
             .remove(0)
             .unwrap_or_else(|e| panic!("{phase:?}: post-recovery move failed: {e}"));
         assert_eq!(stats.chunks, FLOWS as usize, "{phase:?}: post-recovery move is whole");
@@ -228,7 +250,7 @@ fn crash_with_two_inflight_ops_recovers_both() {
             Filter::from_src(opennf_packet::Ipv4Prefix::new(Ipv4Addr::new(10, 0, 1, 0), 24)),
         ),
     ];
-    let res = ctrl.run_moves(specs);
+    let res = ctrl.run_ops(specs);
     assert!(res.iter().all(|r| matches!(r, Err(RtError::CtrlCrashed))));
 
     let outcomes = ctrl.recover();

@@ -1,7 +1,12 @@
-//! Partial P2P recovery: when the destination's batch acks are lost on
-//! the worker → controller uplink, the retry round must re-request only
-//! the flows no `TransferProgress` receipt ever confirmed — not the whole
+//! P2P as a transfer mode of the engine's move.
+//!
+//! Partial recovery: when the destination's batch acks are lost on the
+//! worker → controller uplink, the retry round must re-request only the
+//! flows no `TransferProgress` receipt ever confirmed — not the whole
 //! population — and the move must still land every flow exactly once.
+//!
+//! Engine citizenship: a P2P move is admitted, rooted under its own
+//! `move` span, and runs alongside other ops of one batch.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering;
@@ -10,8 +15,8 @@ use std::time::Duration;
 use opennf_nf::NetworkFunction;
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
-use opennf_rt::{worker_node, RtController, CTRL_NODE};
-use opennf_telemetry::Telemetry;
+use opennf_rt::{worker_node, OpSpec, RtController, WireMsg, CTRL_NODE};
+use opennf_telemetry::{Kind, Telemetry};
 use opennf_util::{FaultKind, FaultPlan, Time};
 
 /// More than one 64-chunk batch frame, so mid-round `TransferProgress`
@@ -88,6 +93,16 @@ fn dropped_batch_ack_retries_only_unconfirmed_flows() {
             !faults.ledger().log.is_empty(),
             "seed {seed}: the plan must actually have fired"
         );
+        // The retry ran inside the engine: the op was admitted and has
+        // its own root span.
+        assert!(
+            tel.records().iter().any(|r| r.kind == Kind::Begin && r.name == "move"),
+            "seed {seed}: the P2P op opened a `move` root span"
+        );
+        assert!(
+            tel.hist_snapshot("engine.admission_wait.w0").is_some_and(|h| h.count == 1),
+            "seed {seed}: the P2P op went through admission"
+        );
 
         // Copy-then-delete completed exactly once despite the retry.
         let harnesses = ctrl.shutdown();
@@ -101,4 +116,81 @@ fn dropped_batch_ack_retries_only_unconfirmed_flows() {
         return;
     }
     panic!("no seed in 0..32 produced a dropped ack with a successful partial retry");
+}
+
+/// One batch of a P2P move, a relayed move and a copy on disjoint worker
+/// pairs: all three commit, every flow ends up exactly where its op puts
+/// it, and the P2P op's root span overlaps the other two in time — it
+/// shares the dispatch loop with them instead of blocking it. An
+/// undecodable frame queued on the uplink ahead of the batch disturbs none
+/// of them and shows up in the flight recorder with the decoder's reason.
+#[test]
+fn p2p_move_overlaps_a_relayed_move_and_a_copy_in_one_batch() {
+    const PER_SRC: u32 = 30;
+    let tel = Telemetry::wall();
+    let mut ctrl = RtController::new_with_telemetry(
+        (0..6).map(|_| Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>).collect(),
+        tel.clone(),
+    );
+    for src in [0usize, 2, 4] {
+        let tx = ctrl.worker_tx(src);
+        for f in 0..PER_SRC {
+            let flow = src as u32 * 256 + f;
+            tx.send(WireMsg::Packet { packet: pkt(flow as u64 + 1, flow) }.to_json())
+                .expect("worker alive");
+        }
+        ctrl.quiesce(src).expect("worker alive");
+    }
+
+    ctrl.ctrl_tx().send("#18446744073709551615:{}".into()).expect("controller alive");
+    let results = ctrl.run_ops(vec![
+        OpSpec::mv_p2p(0, 1, Filter::any()),
+        OpSpec::mv(2, 3, Filter::any()),
+        OpSpec::copy(4, 5, Filter::any()),
+    ]);
+    for (i, r) in results.iter().enumerate() {
+        let stats = r.as_ref().unwrap_or_else(|e| panic!("op {i} failed: {e}"));
+        assert_eq!(stats.chunks, PER_SRC as usize, "op {i} covered its whole population");
+    }
+
+    let recs = tel.records();
+    assert_eq!(tel.counter("rt.frames.bad").load(Ordering::Relaxed), 1);
+    let bad = recs.iter().find(|r| r.name == "wire.bad_frame").expect("bad frame recorded");
+    assert_eq!(bad.arg.as_deref(), Some("netstring truncated"));
+
+    // Root spans are the parentless `move`/`copy` spans; their arg names
+    // the op's endpoints.
+    let root_window = |src: usize| {
+        let begin = recs
+            .iter()
+            .find(|r| {
+                r.kind == Kind::Begin
+                    && r.parent == 0
+                    && r.arg.as_deref().is_some_and(|a| a.contains(&format!(" src={src} ")))
+            })
+            .unwrap_or_else(|| panic!("op from worker {src} has a root span"));
+        let end = recs
+            .iter()
+            .find(|r| r.kind == Kind::End && r.id == begin.id)
+            .expect("root span closed");
+        (begin.t_ns, end.t_ns)
+    };
+    let p2p = root_window(0);
+    for other in [root_window(2), root_window(4)] {
+        assert!(
+            other.0 < p2p.1 && p2p.0 < other.1,
+            "P2P op {p2p:?} overlaps its batch neighbour {other:?}"
+        );
+    }
+
+    let harnesses = ctrl.shutdown();
+    let counts: Vec<usize> = harnesses
+        .iter()
+        .map(|h| {
+            let any: &dyn std::any::Any = h.nf();
+            any.downcast_ref::<AssetMonitor>().unwrap().conn_count()
+        })
+        .collect();
+    let n = PER_SRC as usize;
+    assert_eq!(counts, [0, n, 0, n, n, n], "moves released their sources, the copy kept its");
 }

@@ -280,9 +280,8 @@ impl RtBackend {
         self.w.as_ref().unwrap().send(&WireMsg::Request { id, call, span: None }).unwrap();
         loop {
             let raw = self.rx.recv_timeout(Duration::from_secs(5)).expect("worker reply");
-            // The worker frames its sends (netstring by default, JSON
-            // array under `json-wire`); one payload may carry several
-            // messages.
+            // The worker frames its event sends as netstring runs; one
+            // payload may carry several messages.
             for msg in opennf::rt::wire::decode_frame(&raw).unwrap() {
                 match msg {
                     WireMsg::Event { ev: WireEvent::PacketReceived { packet }, .. } => {
