@@ -149,6 +149,15 @@ fn sb_encode_256(quick: bool) -> Row {
     }
 }
 
+/// Waits until a freshly built, preloaded controller counts as idle. The
+/// engine's post-flip quiet window counts from the data plane's last
+/// activity and construction counts as activity, so a move timed sooner
+/// than this after `new` would measure the rest of that window instead of
+/// the move. Preload through `worker_tx` — it is not a route lookup.
+fn let_go_idle() {
+    std::thread::sleep(std::time::Duration::from_millis(30));
+}
+
 fn rt_move_sample(flows: u32, p2p: bool, tel: &Telemetry) -> (f64, f64) {
     let mut ctrl = RtController::new_with_telemetry(
         vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
@@ -163,6 +172,7 @@ fn rt_move_sample(flows: u32, p2p: bool, tel: &Telemetry) -> (f64, f64) {
     // preloaded packet above has been processed, so the move's measured
     // window covers the transfer itself, not the preload drain.
     ctrl.quiesce(0).expect("worker alive");
+    let_go_idle();
     let stats = if p2p {
         ctrl.move_flows_p2p(0, 1, Filter::any()).expect("p2p move succeeds")
     } else {
@@ -213,6 +223,38 @@ fn rt_bulk_move(quick: bool, p2p: bool, tel: &Telemetry) -> Row {
     }
 }
 
+/// The fixed cost of one engine move: `run_ops([mv])` whose filter
+/// matches no flow, on a controller whose data plane is idle — dispatch,
+/// six round trips, the journal appends and the route flip, with nothing
+/// to export and (the data plane being quiet) no post-flip wait.
+fn rt_move_fixed(quick: bool) -> Row {
+    let mut ctrl = RtController::new(vec![
+        Box::new(AssetMonitor::new()),
+        Box::new(AssetMonitor::new()),
+    ]);
+    let nothing = Filter::from_src(Ipv4Prefix::new(Ipv4Addr::new(192, 0, 2, 0), 24));
+    let_go_idle();
+    let runs = if quick { 20 } else { 100 };
+    let mut samples = Vec::with_capacity(runs);
+    for i in 0..runs {
+        let t0 = Instant::now();
+        let spec = OpSpec::mv(i % 2, 1 - i % 2, nothing);
+        let r = ctrl.run_ops(vec![spec]).pop().expect("one result");
+        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(r.expect("move succeeds").chunks, 0);
+    }
+    ctrl.shutdown();
+    let (median, p95) = quantiles(&mut samples);
+    Row {
+        key: "rt_move_fixed_ms".into(),
+        unit: "ms/move",
+        median,
+        p95,
+        throughput: 1e3 / median,
+        item: "move",
+    }
+}
+
 /// One batch of `k` disjoint moves on an 8-worker runtime, measured
 /// end-to-end. Op `j` owns the `10.j.0.0/16` source subnet (500 preloaded
 /// flows) and moves worker `j` → worker `4+j`, so scopes and endpoints
@@ -243,6 +285,7 @@ fn rt_parallel_moves_sample(k: usize, flows: u32, engine: bool, policy: SchedPol
     for j in 0..k {
         ctrl.quiesce(j).expect("worker alive");
     }
+    let_go_idle();
     let spec = |j: usize| {
         OpSpec::mv(j, 4 + j, Filter::from_src(Ipv4Prefix::new(Ipv4Addr::new(10, j as u8, 0, 0), 16)))
     };
@@ -349,14 +392,26 @@ pub fn run(quick: bool) -> PerfReport {
         sb_encode_256(quick),
         rt_bulk_move(quick, true, &tel),
         rt_bulk_move(quick, false, &tel),
+        rt_move_fixed(quick),
         sim_move_500(),
     ];
     for k in 1..=4usize {
         rows.push(rt_parallel_moves(k, false, quick));
         rows.push(rt_parallel_moves(k, true, quick));
     }
+    rows.push(rt_parallel_moves_with(4, true, quick, SchedPolicy::WeightedFair));
     PerfReport { rows, phases: collect_phases(&tel), quick }
 }
+
+/// perfguard: ceiling on `rt_move_fixed_ms`.
+const MOVE_FIXED_MAX_MS: f64 = 5.0;
+
+/// perfguard: a k=4 engine batch's aggregate throughput over the same
+/// four moves issued one at a time. On idle moves there is no wait left to
+/// overlap, only CPU work, and one relayed move already keeps three
+/// threads busy: two cores give 0.94–1.4x run to run, more cores more.
+/// What holds on every machine is that batching does not cost.
+const PARALLEL_DIVIDEND_MIN: f64 = 0.8;
 
 /// CI perf gate: the full-size (2000-flow) bulk moves, flight recorder
 /// on, compared against a checked-in baseline at a 10% budget. Unlike
@@ -369,44 +424,47 @@ pub fn perfguard(baseline_path: &str) -> Result<(), String> {
     let rows = vec![
         rt_bulk_move(false, true, &tel),
         rt_bulk_move(false, false, &tel),
+        rt_move_fixed(false),
         rt_parallel_moves(4, false, false),
         rt_parallel_moves(4, true, false),
         rt_parallel_moves_with(4, true, false, SchedPolicy::WeightedFair),
     ];
     let rep = PerfReport { rows, phases: collect_phases(&tel), quick: false };
     rep.print();
+    let row = |key: &str| rep.rows.iter().find(|r| r.key == key).expect("row was measured");
+    // A move of nothing on an idle controller is round trips and journal
+    // appends; a sleep creeping back into the op's path shows here first.
+    let fixed = row("rt_move_fixed_ms");
+    if fixed.median >= MOVE_FIXED_MAX_MS {
+        return Err(format!(
+            "fixed per-move cost {:.2} ms is not under {MOVE_FIXED_MAX_MS} ms",
+            fixed.median
+        ));
+    }
     // The concurrency dividend is gated within-run (machine-independent):
-    // a k=4 engine batch must finish with at least twice the aggregate
-    // throughput of the same four moves issued serially.
-    let serial = rep.rows.iter().find(|r| r.key == "rt_parallel_moves_k4_serial").unwrap();
-    let engine = rep.rows.iter().find(|r| r.key == "rt_parallel_moves_k4_engine").unwrap();
-    if engine.throughput < 2.0 * serial.throughput {
-        return Err(format!(
-            "parallel-move dividend below 2x: engine {:.1} moves/s vs serial {:.1} moves/s",
+    // a k=4 batch must not lose to the same four moves issued serially,
+    // whatever policy admits it — the scheduler must not tax a disjoint
+    // batch. The 2x and more of earlier BENCH files was four post-flip
+    // sleeps overlapping, which idle moves no longer take (EXPERIMENTS.md).
+    let serial = row("rt_parallel_moves_k4_serial");
+    for (policy, key) in [
+        ("fifo", "rt_parallel_moves_k4_engine"),
+        ("weighted-fair", "rt_parallel_moves_k4_engine_wfair"),
+    ] {
+        let engine = row(key);
+        let dividend = engine.throughput / serial.throughput;
+        println!(
+            "parallel-move dividend ({policy}): {dividend:.2}x ({:.1} vs serial {:.1} moves/s)",
             engine.throughput, serial.throughput
-        ));
+        );
+        if dividend < PARALLEL_DIVIDEND_MIN {
+            return Err(format!(
+                "parallel-move dividend under {policy} below {PARALLEL_DIVIDEND_MIN}x: \
+                 engine {:.1} moves/s vs serial {:.1} moves/s",
+                engine.throughput, serial.throughput
+            ));
+        }
     }
-    println!(
-        "parallel-move dividend: {:.1}x (engine {:.1} vs serial {:.1} moves/s)",
-        engine.throughput / serial.throughput,
-        engine.throughput,
-        serial.throughput
-    );
-    // The scheduler must not tax a disjoint batch: the same four moves
-    // admitted through WeightedFair keep the dividend too.
-    let wfair = rep.rows.iter().find(|r| r.key == "rt_parallel_moves_k4_engine_wfair").unwrap();
-    if wfair.throughput < 2.0 * serial.throughput {
-        return Err(format!(
-            "parallel-move dividend under weighted-fair below 2x: {:.1} moves/s vs serial {:.1} moves/s",
-            wfair.throughput, serial.throughput
-        ));
-    }
-    println!(
-        "parallel-move dividend (weighted-fair): {:.1}x ({:.1} vs serial {:.1} moves/s)",
-        wfair.throughput / serial.throughput,
-        wfair.throughput,
-        serial.throughput
-    );
     compare(&rep, baseline_path, 10.0)
 }
 

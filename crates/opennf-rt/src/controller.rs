@@ -110,8 +110,18 @@ impl OpResidue {
 /// The controller: owns the workers and the router.
 pub struct RtController {
     pub(crate) workers: Vec<WorkerHandle>,
-    /// The shared rule table generators route through.
+    /// The shared rule table generators route through. Under a
+    /// [`ShardedRt`](crate::ShardedRt) every shard holds the one global
+    /// table, whose rules carry *global* worker indices.
     pub router: Arc<Router>,
+    /// Global index of this controller's worker 0 in [`Self::router`]'s
+    /// rules (shard-major; 0 for a standalone controller).
+    pub(crate) route_base: usize,
+    /// [`Router::lookups`] as last sampled, and when it was last seen to
+    /// have moved — the origin of the post-flip quiet window. A change
+    /// noticed late is stamped late, which only lengthens the window.
+    lookups_seen: u64,
+    lookups_seen_at: Instant,
     from_workers: Receiver<String>,
     to_ctrl: Sender<String>,
     next_id: u64,
@@ -172,14 +182,14 @@ pub(crate) enum Recv {
 impl RtController {
     /// Spawns one worker per NF; installs a default route to worker 0.
     pub fn new(nfs: Vec<Box<dyn NetworkFunction>>) -> Self {
-        Self::build(nfs, None, Telemetry::wall())
+        Self::new_with_telemetry(nfs, Telemetry::wall())
     }
 
     /// Like [`RtController::new`], but with a caller-supplied telemetry
     /// handle (keep a clone to read spans/metrics during and after the
     /// run).
     pub fn new_with_telemetry(nfs: Vec<Box<dyn NetworkFunction>>, tel: Telemetry) -> Self {
-        Self::build(nfs, None, tel)
+        Self::build(nfs, None, tel, Self::default_router(), 0).0
     }
 
     /// Like [`RtController::new_with_telemetry`], but every channel —
@@ -193,17 +203,32 @@ impl RtController {
         plan: FaultPlan,
         tel: Telemetry,
     ) -> (Self, Arc<RtFaults>) {
-        let (faults, pump) = RtFaults::arm(plan);
-        faults.set_telemetry(tel.clone());
-        let ctrl = Self::build(nfs, Some((faults.clone(), pump)), tel);
-        (ctrl, faults)
+        let (ctrl, faults) = Self::build(nfs, Some(plan), tel, Self::default_router(), 0);
+        (ctrl, faults.expect("fault plan was supplied"))
     }
 
-    fn build(
+    /// A rule table holding only the default route to worker 0.
+    pub(crate) fn default_router() -> Arc<Router> {
+        let router = Arc::new(Router::new());
+        router.install(0, Filter::any(), 0);
+        router
+    }
+
+    /// The one constructor: spawns the workers (every channel shimmed
+    /// when a `plan` is given) behind `router`, whose rules name this
+    /// controller's worker `l` as `route_base + l`.
+    pub(crate) fn build(
         nfs: Vec<Box<dyn NetworkFunction>>,
-        faults: Option<(Arc<RtFaults>, crossbeam::channel::Sender<crate::faults::PumpJob>)>,
+        plan: Option<FaultPlan>,
         tel: Telemetry,
-    ) -> Self {
+        router: Arc<Router>,
+        route_base: usize,
+    ) -> (Self, Option<Arc<RtFaults>>) {
+        let faults = plan.map(|plan| {
+            let (faults, pump) = RtFaults::arm(plan);
+            faults.set_telemetry(tel.clone());
+            (faults, pump)
+        });
         let (to_ctrl, from_workers) = unbounded();
         let n = nfs.len();
         let dials = tel.counter("rt.p2p.dials");
@@ -247,14 +272,15 @@ impl RtController {
         };
         let ctrl_links = (0..n).map(|i| link(i, CTRL_NODE)).collect();
         let data_links = (0..n).map(|i| link(i, ROUTER_NODE)).collect();
-        let router = Arc::new(Router::new());
-        router.install(0, Filter::any(), 0);
         let c_frames_decoded = tel.counter("rt.frames.decoded");
         let c_frames_encoded = tel.counter("rt.frames.encoded");
         let c_events_pumped = tel.counter("rt.events.pumped");
-        RtController {
+        let ctrl = RtController {
             workers,
+            lookups_seen: router.lookups(),
+            lookups_seen_at: Instant::now(),
             router,
+            route_base,
             from_workers,
             to_ctrl,
             next_id: 1,
@@ -275,7 +301,8 @@ impl RtController {
             crash_after: None,
             crashed: false,
             sched: opennf_sched::OpScheduler::new(opennf_sched::SchedPolicy::Fifo),
-        }
+        };
+        (ctrl, faults.map(|(f, _)| f))
     }
 
     /// Swaps the op-scheduling policy (fresh policy state, default
@@ -351,12 +378,40 @@ impl RtController {
     /// method is the single-threaded convenience). Fails if the routed-to
     /// worker is dead. Runs through the router → worker fault shim.
     pub fn inject(&self, pkt: opennf_packet::Packet) -> Result<(), RtError> {
-        if let Some(w) = self.router.route(&pkt) {
+        if let Some(w) = self.local(self.router.route(&pkt)) {
             self.data_links[w]
                 .send(&WireMsg::Packet { packet: pkt })
                 .map_err(|_| RtError::WorkerGone { worker: w })?;
         }
         Ok(())
+    }
+
+    /// A rule-table hit as one of this controller's own workers; hits that
+    /// name another shard's worker are not ours to deliver.
+    pub(crate) fn local(&self, hit: Option<usize>) -> Option<usize> {
+        hit?.checked_sub(self.route_base).filter(|&l| l < self.workers.len())
+    }
+
+    /// Samples the data plane's lookup count and returns when it was last
+    /// seen to move.
+    pub(crate) fn observe_lookups(&mut self) -> Instant {
+        let n = self.router.lookups();
+        if n != self.lookups_seen {
+            self.lookups_seen = n;
+            self.lookups_seen_at = Instant::now();
+        }
+        self.lookups_seen_at
+    }
+
+    /// Flips `filter` to `worker` (a *global* index: the engine's local
+    /// destination plus `route_base`, or the cross-shard handoff's peer)
+    /// and returns the origin of the post-flip quiet window
+    /// ([`flip_settled`](crate::engine::flip_settled)): when the data plane
+    /// was last seen looking a route up. Sampled *after* the install, so
+    /// every lookup that read the old table is in the sample.
+    pub(crate) fn flip_route(&mut self, filter: Filter, worker: usize) -> Instant {
+        self.router.install(10, filter, worker);
+        self.observe_lookups()
     }
 
     /// A clone of worker `i`'s channel (for generator threads).
@@ -685,7 +740,7 @@ impl RtController {
             let terminal = if forward {
                 // Only a completed move redirects traffic.
                 if res.kind == opennf_sched::OpClass::Move {
-                    self.router.install(10, res.filter, res.dst);
+                    self.router.install(10, res.filter, self.route_base + res.dst);
                 }
                 report.end_ns = self.tel.now_ns();
                 JournalPhase::Committed
@@ -703,7 +758,7 @@ impl RtController {
         for evs in stray.into_values() {
             for ev in evs {
                 if let WireEvent::PacketReceived { ref packet } = ev {
-                    if let Some(w) = self.router.route(packet) {
+                    if let Some(w) = self.local(self.router.lookup(packet)) {
                         let _ = self.replay_one(w, ev);
                     }
                 }

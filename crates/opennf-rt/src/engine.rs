@@ -92,6 +92,20 @@ const FWD_DRAIN: Duration = Duration::from_millis(200);
 /// (keeps single-move latency at the synchronous controller's level).
 const FWD_IDLE: Duration = Duration::from_millis(20);
 
+/// The post-flip quiet window, one rule for the engine and the cross-shard
+/// handoff. A packet *enqueued* at the source before the flip needs no
+/// timer: the worker inbox is FIFO and the fenced `disableEvents` travels
+/// it, so the packet raises its event before the ack and is replayed at
+/// the ack. The window covers the one remaining race — a generator that
+/// looked the route up under the old table and has not enqueued yet — so
+/// it counts from the data plane's last activity: the latest straggler
+/// event or, before any, the last lookup observed up to the flip
+/// ([`RtController::flip_route`]). `ceiling` bounds it under traffic that
+/// never pauses.
+pub(crate) fn flip_settled(now: Instant, last_activity: Instant, ceiling: Instant) -> bool {
+    now >= ceiling || now >= last_activity + FWD_IDLE
+}
+
 /// Rounds a P2P transfer gets to confirm every exported flow at the
 /// destination before the move aborts.
 const P2P_ATTEMPTS: u32 = 3;
@@ -242,7 +256,8 @@ struct P2pRounds {
     exported: bool,
     /// The current round's destination summary (`TransferDone`) landed.
     done: bool,
-    /// Flows the destination has acknowledged: its cumulative
+    /// Flows the destination has acknowledged, over all of this op's
+    /// rounds (the destination itself reports per round): its
     /// `TransferDone` summaries plus batch-granular `TransferProgress`
     /// receipts. The receipts are what make a half-confirmed round cheap
     /// — when the final summary itself is lost, the retry re-requests
@@ -297,7 +312,10 @@ struct OpTask {
     bytes: usize,
     replayed: usize,
     flipped: bool,
+    /// Ceiling of the post-flip quiet window ([`flip_settled`]).
     fwd_deadline: Instant,
+    /// What that window counts from: the op's latest event, or at the
+    /// flip the data plane's last observed lookup.
     last_event: Instant,
     duration: Duration,
     err: Option<RtError>,
@@ -397,6 +415,8 @@ impl RtController {
         let mut last_depth = u64::MAX;
 
         loop {
+            // Data-plane activity is stamped when it is seen, so look often.
+            self.observe_lookups();
             if self.is_crashed() {
                 // The "process" died at a journal append: in-flight work
                 // dies where it stands — no teardown, no further sends
@@ -784,11 +804,9 @@ impl RtController {
                     return;
                 }
                 t.phase = Some(self.tel.begin_under(root, "move.fwd_update"));
-                self.router.install(10, t.spec.filter, t.spec.dst);
+                t.last_event = self.flip_route(t.spec.filter, self.route_base + t.spec.dst);
                 t.flipped = true;
-                let now = Instant::now();
-                t.fwd_deadline = now + FWD_DRAIN;
-                t.last_event = now;
+                t.fwd_deadline = Instant::now() + FWD_DRAIN;
                 self.set_st(t, St::FwdWait);
             }
             St::Settling if id == t.wait_id => {
@@ -1029,7 +1047,7 @@ impl RtController {
         }
         // No owner: deliver wherever the rule table points now.
         if let WireEvent::PacketReceived { ref packet } = ev {
-            if let Some(w) = self.router.route(packet) {
+            if let Some(w) = self.local(self.router.lookup(packet)) {
                 let _ = self.replay_one(w, ev);
             }
         }
@@ -1049,7 +1067,7 @@ impl RtController {
         let now = Instant::now();
         for (ti, t) in tasks.iter_mut().enumerate() {
             match t.st {
-                St::FwdWait if now >= t.fwd_deadline || now >= t.last_event + FWD_IDLE => {
+                St::FwdWait if flip_settled(now, t.last_event, t.fwd_deadline) => {
                     if let Some(sp) = t.phase.take() {
                         self.tel.end(sp);
                     }

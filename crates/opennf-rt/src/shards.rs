@@ -26,7 +26,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use opennf_controller::{JournalPhase, OpId, OpReport};
@@ -38,7 +38,7 @@ use opennf_util::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{MoveStats, RtController};
-use crate::engine::OpSpec;
+use crate::engine::{flip_settled, OpSpec};
 use crate::error::RtError;
 use crate::faults::{FaultyChannel, RtFaults};
 use crate::router::Router;
@@ -48,9 +48,12 @@ use crate::wire::{WireAction, WireCall, WireEvent, WireMsg, WireReply};
 /// many packets, mirroring the southbound replay batching.
 const EW_BATCH: usize = 64;
 
-/// How long the owning shard polls its own workers for straggler events
-/// after the global route flips.
+/// Ceiling on how long the owning shard polls its own workers for
+/// straggler events after the global route flips.
 const STRAGGLER_WINDOW: Duration = Duration::from_millis(200);
+
+/// One poll of that loop.
+const STRAGGLER_POLL: Duration = Duration::from_millis(5);
 
 /// The east-west vocabulary between shard controllers. Every message is
 /// serialized to JSON on the sending shard and parsed on the receiving
@@ -166,25 +169,26 @@ impl ShardedRt {
                 map.push((k, l));
             }
         }
+        // One rule table for the whole control plane: every shard's engine
+        // flips and watches the table the generators actually consult.
+        let router = RtController::default_router();
         let mut shards = Vec::with_capacity(shard_nfs.len());
         let mut faults_out = None;
+        let mut route_base = 0;
         for (k, nfs) in shard_nfs.into_iter().enumerate() {
-            if let Some((plan, fault_shard)) = &plan {
-                if k == *fault_shard {
-                    let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-                        nfs,
-                        plan.clone(),
-                        tel.clone(),
-                    );
-                    shards.push(ctrl);
-                    faults_out = Some(faults);
-                    continue;
-                }
-            }
-            shards.push(RtController::new_with_telemetry(nfs, tel.clone()));
+            let n = nfs.len();
+            let plan = plan.as_ref().filter(|(_, fault_shard)| k == *fault_shard);
+            let (ctrl, faults) = RtController::build(
+                nfs,
+                plan.map(|(plan, _)| plan.clone()),
+                tel.clone(),
+                router.clone(),
+                route_base,
+            );
+            shards.push(ctrl);
+            faults_out = faults_out.or(faults);
+            route_base += n;
         }
-        let router = Arc::new(Router::new());
-        router.install(0, Filter::any(), 0);
         let mut ew_tx = Vec::new();
         let mut ew_rx = Vec::new();
         for _ in 0..shards.len() {
@@ -295,8 +299,8 @@ impl ShardedRt {
     ///
     /// * Same shard: the spec is translated to that shard's local indices
     ///   and submitted to its engine ([`RtController::run_ops`]) as is —
-    ///   any kind, either transfer mode; a committed move's route is
-    ///   mirrored into the global table.
+    ///   any kind, either transfer mode; the engine flips the global table
+    ///   itself.
     /// * Cross shard (moves only): the source's shard drives the
     ///   five-phase handoff; chunks and replays reach the destination's
     ///   shard as [`EwMsg`] frames. The spec's transfer mode is ignored:
@@ -313,9 +317,6 @@ impl ShardedRt {
                 .pop()
                 .expect("one spec in, one result out");
             self.last_abort_lost = self.shards[sa].abort_lost().to_vec();
-            if r.is_ok() && kind == OpClass::Move {
-                self.router.install(10, filter, dst);
-            }
             return r;
         }
         if kind != OpClass::Move {
@@ -329,6 +330,10 @@ impl ShardedRt {
         // journal records share one id space with that shard's in-shard
         // ops; it also tags the east-west frames.
         let op = self.shards[sa].mint_op();
+        // The handoff runs outside the engine's dispatch loop: look at the
+        // data plane now, so activity before this point is not stamped as
+        // late as the flip.
+        self.shards[sa].observe_lookups();
         // Shard-tagged so the happens-before oracle can pair this with the
         // peer's `ew.release` per shard pair and bound transport latency.
         self.tel.event(
@@ -422,7 +427,7 @@ impl ShardedRt {
         shipped: &mut Vec<FlowId>,
         deleted: &mut bool,
     ) -> Result<MoveStats, RtError> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
 
         // Export: quiesce the source, then stream bounded chunk batches —
         // each one forwarded east-west as it lands, while later batches
@@ -500,19 +505,21 @@ impl ShardedRt {
         }
 
         let sp = self.tel.begin("move.fwd_update");
-        self.router.install(10, filter, dst_global);
+        let mut last_activity = self.shards[sa].flip_route(filter, dst_global);
         *flipped = true;
-        // Stragglers: packets already queued toward the source when the
-        // route flipped still raise events there. Ship each batch east-west
-        // *as it surfaces* — waiting out the whole window first would queue
-        // the replays behind the live tail at the destination, processing
+        // Stragglers: packets routed toward the source before the flip
+        // still raise events there — the engine's post-flip quiet window,
+        // under this site's ceiling. Ship each batch east-west *as it
+        // surfaces* — waiting out the whole window first would queue the
+        // replays behind the live tail at the destination, processing
         // old-ingress packets last.
-        let deadline = std::time::Instant::now() + STRAGGLER_WINDOW;
-        while std::time::Instant::now() < deadline {
-            let tail = self.shards[sa].drain_events(Duration::from_millis(20))?;
+        let deadline = Instant::now() + STRAGGLER_WINDOW;
+        while !flip_settled(Instant::now(), last_activity, deadline) {
+            let tail = self.shards[sa].drain_events(STRAGGLER_POLL)?;
             if tail.is_empty() {
                 continue;
             }
+            last_activity = Instant::now();
             let (r, l) = self.ew_replay(op.0, sb, b_l, tail)?;
             replayed += r;
             lost.extend(l);
@@ -707,21 +714,58 @@ mod tests {
     }
 
     #[test]
-    fn same_shard_move_delegates_and_mirrors_global_route() {
-        let mut ctrl = ShardedRt::new(vec![vec![
-            Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-            Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-        ]]);
+    fn same_shard_move_flips_the_one_global_table() {
+        // Shard 1 owns global workers 1 and 2, so its local indices differ
+        // from the global ones.
+        let mut ctrl = ShardedRt::new(vec![
+            vec![Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>],
+            vec![
+                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
+                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
+            ],
+        ]);
+        for k in 0..2 {
+            let shard_router = ctrl.shard_mut(k).router.clone();
+            assert!(Arc::ptr_eq(&ctrl.router, &shard_router), "shard {k} holds the global table");
+        }
         for uid in 1..=20u64 {
-            ctrl.inject(pkt(uid, (uid % 4) as u16)).unwrap();
+            ctrl.data_tx(1).send(&WireMsg::Packet { packet: pkt(uid, (uid % 4) as u16) }).unwrap();
+        }
+        ctrl.quiesce(1).unwrap();
+        // There and back and there again: the engine flips the global
+        // table itself, to the *global* index, and keeps one rule.
+        for (src, dst) in [(1, 2), (2, 1), (1, 2)] {
+            let spec = OpSpec::mv_p2p(src, dst, Filter::any());
+            let stats = ctrl.move_flows_cross(spec).expect("move succeeds");
+            assert_eq!(stats.chunks, 4);
+            assert_eq!(ctrl.router.route(&pkt(99, 1)), Some(dst));
+            assert_eq!(ctrl.router.len(), 2, "the default route plus one rule for the filter");
+        }
+        // A packet injected now follows the table into shard 1.
+        ctrl.inject(pkt(21, 1)).unwrap();
+        ctrl.quiesce(2).unwrap();
+        let harnesses = ctrl.shutdown();
+        assert_eq!(harnesses[2].processed_log().last(), Some(&21));
+        let any: &dyn std::any::Any = harnesses[2].nf();
+        assert_eq!(any.downcast_ref::<AssetMonitor>().unwrap().conn_count(), 4);
+    }
+
+    #[test]
+    fn quiet_cross_shard_move_does_not_sit_out_the_straggler_window() {
+        let mut ctrl = two_shards();
+        for uid in 1..=20u64 {
+            ctrl.data_tx(0).send(&WireMsg::Packet { packet: pkt(uid, (uid % 4) as u16) }).unwrap();
         }
         ctrl.quiesce(0).unwrap();
-        let stats = ctrl.move_flows_cross(OpSpec::mv_p2p(0, 1, Filter::any())).expect("p2p move succeeds");
+        // No lookup since construction, and construction is long enough ago.
+        std::thread::sleep(Duration::from_millis(30));
+        let t0 = Instant::now();
+        let stats =
+            ctrl.move_flows_cross(OpSpec::mv(0, 1, Filter::any())).expect("handoff succeeds");
+        let took = t0.elapsed();
         assert_eq!(stats.chunks, 4);
-        // The committed route is visible in the *global* table.
+        assert!(took < STRAGGLER_WINDOW / 2, "quiet handoff took {took:?}");
         assert_eq!(ctrl.router.route(&pkt(99, 1)), Some(1));
-        let harnesses = ctrl.shutdown();
-        let any: &dyn std::any::Any = harnesses[1].nf();
-        assert_eq!(any.downcast_ref::<AssetMonitor>().unwrap().conn_count(), 4);
+        ctrl.shutdown();
     }
 }

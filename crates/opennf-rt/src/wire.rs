@@ -140,10 +140,12 @@ pub enum WireReply {
         /// Total chunk bytes shipped.
         bytes: u64,
     },
-    /// P2P destination summary: the cumulative set of flows imported for
-    /// this transfer, sent when the `last` chunk batch arrives.
+    /// P2P destination summary: the flows this round imported, sent when
+    /// its `last` chunk batch arrives. Scoped to the round so that an
+    /// earlier op's imports can never confirm a later op's flows; the
+    /// controller accumulates the rounds of one op.
     TransferDone {
-        /// Every flow imported so far (across retries).
+        /// Every flow imported under this round's correlation id.
         imported: Vec<FlowId>,
     },
     /// One batch of a streamed export ([`WireCall::GetPerflowChunked`]).

@@ -231,15 +231,28 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Destination-side bookkeeping of a P2P bulk transfer: the cumulative
-/// imports (what `TransferDone` reports) and the abort tombstone.
+/// Destination-side bookkeeping of a P2P bulk transfer: the current
+/// round's imports (what `TransferDone` reports).
 #[derive(Default)]
 struct P2pIn {
+    /// The round `imported`/`seen` belong to. Correlation ids only grow,
+    /// so a larger one starts a new round with nothing imported — what an
+    /// earlier round, or an earlier op, landed here confirms nothing for
+    /// it — and a smaller one is a leftover of a round that has ended or
+    /// was aborted (an abort moves `round` past the rounds it tombstones).
+    round: u64,
     imported: Vec<FlowId>,
     seen: HashSet<FlowId>,
-    /// Chunk batches whose correlation id is `<=` this are from aborted
-    /// rounds: discard them instead of resurrecting deleted state.
-    aborted_through: u64,
+}
+
+impl P2pIn {
+    /// Moves on to round `id` (no-op for a round already passed): batches
+    /// of earlier rounds are discarded from here on.
+    fn advance_to(&mut self, id: u64) {
+        if id > self.round {
+            *self = P2pIn { round: id, ..P2pIn::default() };
+        }
+    }
 }
 
 /// Source side of a P2P transfer: export the matching per-flow state and
@@ -423,13 +436,10 @@ fn worker_loop(
                 WireMsg::Request {
                     id, call: WireCall::AbortTransfer { flow_ids, through_id }, ..
                 } => {
-                    p2p.aborted_through = p2p.aborted_through.max(through_id);
+                    // Tombstone: a batch of these rounds still in flight
+                    // must not resurrect the deleted state.
+                    p2p.advance_to(through_id.saturating_add(1));
                     harness.nf_mut().del_perflow(&flow_ids);
-                    for f in &flow_ids {
-                        p2p.seen.remove(f);
-                    }
-                    let gone: HashSet<FlowId> = flow_ids.into_iter().collect();
-                    p2p.imported.retain(|f| !gone.contains(f));
                     let _ = to_ctrl.send(&WireMsg::Response { id, reply: WireReply::Done });
                 }
                 WireMsg::Request { id, call, .. } => {
@@ -446,11 +456,15 @@ fn worker_loop(
                     }
                 }
                 WireMsg::P2pChunks { id, seq, last, chunks } => {
-                    if id <= p2p.aborted_through {
-                        // Straggler from an aborted round: the state it
-                        // carries was already rolled back at the source.
+                    if id < p2p.round {
+                        // Straggler from an aborted round (the state it
+                        // carries was already rolled back at the source)
+                        // or from a round that has ended: what it carries
+                        // was either confirmed already or is re-shipped by
+                        // the round that superseded it.
                         continue;
                     }
+                    p2p.advance_to(id);
                     let ids: Vec<FlowId> = chunks.iter().map(|c| c.flow_id).collect();
                     match harness.nf_mut().put_perflow(chunks) {
                         Ok(()) => {

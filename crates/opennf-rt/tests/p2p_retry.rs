@@ -118,6 +118,77 @@ fn dropped_batch_ack_retries_only_unconfirmed_flows() {
     panic!("no seed in 0..32 produced a dropped ack with a successful partial retry");
 }
 
+/// The destination's import bookkeeping belongs to one transfer round, not
+/// to the worker: a flow set that an earlier P2P move already landed at
+/// worker 1 moves back and then in again, and this time a chunk batch is
+/// dropped on the direct link. What worker 1 imported the first time must
+/// not confirm the dropped batch — the reconcile has to see the gap,
+/// re-request it, and only then release the source.
+#[test]
+fn an_earlier_p2p_move_into_the_same_worker_confirms_nothing() {
+    // The peer link starts dropping once the first two moves are done.
+    let drops_from = Time(400_000_000);
+    for seed in 0..32u64 {
+        let plan = FaultPlan::new(seed).link(
+            Some(worker_node(0)),
+            Some(worker_node(1)),
+            drops_from,
+            Time(u64::MAX),
+            250,
+            FaultKind::Drop,
+        );
+        let tel = Telemetry::wall();
+        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
+            vec![
+                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
+                Box::new(AssetMonitor::new()),
+            ],
+            plan,
+            tel.clone(),
+        );
+        let reply_timeout = Duration::from_millis(400);
+        let mut ctrl = ctrl.with_reply_timeout(reply_timeout);
+        for f in 0..FLOWS {
+            ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
+        }
+        ctrl.quiesce(0).expect("worker alive");
+
+        let first = ctrl.move_flows_p2p(0, 1, Filter::any()).expect("clean first move");
+        assert_eq!(first.chunks, FLOWS as usize);
+        ctrl.move_flows_lossfree(1, 0, Filter::any()).expect("clean move back");
+        assert_eq!(tel.counter("rt.p2p.retry_rounds").load(Ordering::Relaxed), 0);
+        while faults.now() < drops_from {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let t0 = std::time::Instant::now();
+        let res = ctrl.move_flows_p2p(0, 1, Filter::any());
+        let took = t0.elapsed();
+        let refetched = tel.counter("rt.p2p.refetch_flows").load(Ordering::Relaxed);
+        // The case under test: a batch other than the last was dropped, so
+        // the round closed on its two summaries (not on its deadline) with
+        // the destination's summary short of the export — and the narrower
+        // round that followed got through.
+        let hit = res.is_ok() && refetched >= 1 && took < reply_timeout;
+        let harnesses = ctrl.shutdown();
+        faults.join_pump();
+        if !hit {
+            continue;
+        }
+
+        assert_eq!(res.expect("checked Ok above").chunks, FLOWS as usize);
+        assert!(refetched < FLOWS as u64, "seed {seed}: only the gap was re-requested");
+        let count = |i: usize| {
+            let any: &dyn std::any::Any = harnesses[i].nf();
+            any.downcast_ref::<AssetMonitor>().unwrap().conn_count()
+        };
+        assert_eq!(count(0), 0, "seed {seed}: source released");
+        assert_eq!(count(1), FLOWS as usize, "seed {seed}: destination holds every flow");
+        return;
+    }
+    panic!("no seed in 0..32 dropped a non-final batch of the second move and retried it");
+}
+
 /// One batch of a P2P move, a relayed move and a copy on disjoint worker
 /// pairs: all three commit, every flow ends up exactly where its op puts
 /// it, and the P2P op's root span overlaps the other two in time — it

@@ -1,17 +1,31 @@
-//! Fairness of the op scheduler, measured end-to-end through the engine:
-//! four copies contending on one source under `WeightedFair` must be
-//! admitted with comparable waits — the `engine.admission_wait.*`
-//! histogram's exact min/max bound the spread.
+//! Timing of the op engine, measured end-to-end.
+//!
+//! Fairness of the op scheduler: four copies contending on one source
+//! under `WeightedFair` must be admitted with comparable waits — the
+//! `engine.admission_wait.*` histogram's exact min/max bound the spread.
+//!
+//! The post-flip quiet window: a move waits out `FWD_IDLE` after the route
+//! flip only when the data plane looked a route up within `FWD_IDLE` of
+//! it; packets already queued at the source are covered by the FIFO
+//! teardown alone.
 
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use opennf_nf::NetworkFunction;
 use opennf_nfs::AssetMonitor;
-use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
-use opennf_rt::{OpSpec, RtController, SchedConfig, SchedPolicy};
+use opennf_packet::{Filter, FlowKey, Ipv4Prefix, Packet, TcpFlags};
+use opennf_rt::{
+    JournalPhase, OpSpec, RtController, SchedConfig, SchedPolicy, WireEvent, WireMsg,
+};
 use opennf_telemetry::Telemetry;
 
 const FLOWS: u32 = 30;
+
+/// The engine's `FWD_IDLE`.
+const FWD_IDLE: Duration = Duration::from_millis(20);
 
 fn pkt(uid: u64, flow: u32) -> Packet {
     let key = FlowKey::tcp(
@@ -94,4 +108,133 @@ fn four_contending_copies_admit_with_bounded_wait_spread() {
     for w in 2..6 {
         assert_eq!(count(w), 2 * FLOWS as usize, "copy destination {w} holds the merged clone");
     }
+}
+
+/// `n` asset monitors with [`FLOWS`] flows preloaded at worker 0 *without*
+/// touching the router, left alone until the data plane counts as quiet.
+fn quiet_controller(n: usize, tel: &Telemetry) -> RtController {
+    let mut ctrl = RtController::new_with_telemetry(
+        (0..n).map(|_| Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>).collect(),
+        tel.clone(),
+    );
+    let tx = ctrl.worker_tx(0);
+    for f in 0..FLOWS {
+        tx.send(WireMsg::Packet { packet: pkt(f as u64 + 1, f) }.to_json()).expect("worker alive");
+    }
+    ctrl.quiesce(0).expect("worker alive");
+    std::thread::sleep(FWD_IDLE + Duration::from_millis(5));
+    ctrl
+}
+
+/// The longest `move.fwd_update` span recorded so far.
+fn fwd_update_max(tel: &Telemetry) -> Duration {
+    Duration::from_nanos(tel.hist_snapshot("move.fwd_update").expect("span recorded").max)
+}
+
+/// On a quiet data plane the flip settles at once: `move.fwd_update` is
+/// shorter than `FWD_IDLE`, while the spans and journal phases are the
+/// ones every move has. The controller's own re-homing lookup (an event
+/// no op owns, routed on by `route_event`) is not data-plane activity.
+#[test]
+fn quiet_move_skips_the_post_flip_wait() {
+    let tel = Telemetry::wall();
+    let mut ctrl = quiet_controller(3, &tel);
+    // A straggler event from worker 2, which no op owns: the engine looks
+    // its packet up and delivers it where the table says (back to 2).
+    let elsewhere = Ipv4Addr::new(11, 0, 0, 1);
+    ctrl.router.install(20, Filter::from_src(Ipv4Prefix::new(elsewhere, 32)), 2);
+    let key = FlowKey::tcp(elsewhere, 2000, Ipv4Addr::new(93, 184, 216, 34), 80);
+    let stray = WireMsg::Event {
+        worker: 2,
+        ev: WireEvent::PacketReceived { packet: Packet::builder(9_000, key).build() },
+    };
+    ctrl.ctrl_tx().send(stray.to_json()).expect("controller alive");
+
+    let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    assert_eq!(stats.chunks, FLOWS as usize);
+    let fwd = fwd_update_max(&tel);
+    assert!(fwd < FWD_IDLE, "quiet flip settled in {fwd:?}");
+    assert_eq!(
+        tel.span_sequence("move."),
+        ["move.export", "move.transfer", "move.import", "move.flush", "move.fwd_update"],
+    );
+    let phases: Vec<JournalPhase> = ctrl.journal().records.iter().map(|r| r.phase).collect();
+    assert_eq!(
+        phases,
+        [
+            JournalPhase::Armed,
+            JournalPhase::ExportDone,
+            JournalPhase::Transferred,
+            JournalPhase::Imported,
+            JournalPhase::Flushed,
+            JournalPhase::Committed
+        ],
+    );
+    let harnesses = ctrl.shutdown();
+    assert_eq!(harnesses[2].processed_log(), [9_000], "the stray event was re-homed");
+}
+
+/// One data-plane lookup right before the move and the window is back:
+/// the op cannot finish sooner than `FWD_IDLE` after it.
+#[test]
+fn a_lookup_before_the_move_keeps_the_post_flip_wait() {
+    let tel = Telemetry::wall();
+    let mut ctrl = quiet_controller(2, &tel);
+    assert_eq!(ctrl.router.route(&pkt(1, 0)), Some(0));
+    let t0 = Instant::now();
+    ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    let took = t0.elapsed();
+    assert!(took >= FWD_IDLE, "move after a lookup took only {took:?}");
+}
+
+/// The FIFO barrier that makes the quiet exit safe: a thread blasts
+/// packets straight into the source's inbox (no router, so the data plane
+/// stays quiet) throughout the move. Whatever the source dropped while its
+/// filter was armed — every such packet was enqueued before the teardown —
+/// is replayed at the destination; nothing is processed twice or lost.
+#[test]
+fn packets_queued_at_the_source_survive_a_quiet_move() {
+    let tel = Telemetry::wall();
+    let mut ctrl = quiet_controller(2, &tel);
+    let tx = ctrl.worker_tx(0);
+    let stop = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicU64::new(0));
+    let (gen_stop, gen_sent) = (stop.clone(), sent.clone());
+    let gen = std::thread::spawn(move || {
+        let mut uid = 10_000u64;
+        while !gen_stop.load(Ordering::Acquire) {
+            uid += 1;
+            let p = pkt(uid, (uid % FLOWS as u64) as u32);
+            tx.send(WireMsg::Packet { packet: p }.to_json()).expect("worker alive");
+            gen_sent.store(uid - 10_000, Ordering::Release);
+            std::thread::sleep(Duration::from_micros(20));
+        }
+        uid - 10_000
+    });
+    while sent.load(Ordering::Acquire) < 50 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    stop.store(true, Ordering::Release);
+    let blasted = gen.join().expect("generator");
+    assert!(fwd_update_max(&tel) < FWD_IDLE, "the move took the quiet exit");
+    assert!(ctrl.abort_lost().is_empty());
+    ctrl.quiesce(0).expect("worker alive");
+    ctrl.quiesce(1).expect("worker alive");
+
+    let harnesses = ctrl.shutdown();
+    let (h0, h1) = (&harnesses[0], &harnesses[1]);
+    let mut all: Vec<u64> = h0.processed_log().iter().chain(h1.processed_log()).copied().collect();
+    let processed = all.len();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), processed, "no packet processed twice");
+    assert_eq!(processed as u64, FLOWS as u64 + blasted, "every packet processed");
+    let dropped = h0.dropped_uids();
+    assert!(!dropped.is_empty(), "packets reached the source while its filter was armed");
+    assert!(
+        dropped.iter().all(|uid| h1.processed_log().contains(uid)),
+        "every packet the source dropped was replayed at the destination"
+    );
+    assert_eq!(stats.events_replayed, dropped.len(), "each as a do-not-buffer replay");
 }
