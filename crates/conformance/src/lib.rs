@@ -33,9 +33,9 @@ use opennf_controller::{
 use opennf_nf::{Chunk, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::Filter;
-use opennf_rt::{OpSpec, RtController, ShardedRt, WireMsg};
+use opennf_rt::{OpSpec, RtController, RtFaults, ShardedRt, WireMsg};
 use opennf_telemetry::Telemetry;
-use opennf_trace::steady_flows;
+use opennf_trace::{steady_flows, TimedPacket};
 use opennf_util::{Dur, FaultKind, FaultPlan, Md5, NodeId, SimRng, Time};
 
 /// Mask bit: drop packets on the router → source-worker link.
@@ -78,10 +78,11 @@ pub const M_CTRL_CRASH: u32 = 1 << 10;
 /// The sim builds a 2–4 switch chain split across two shard controllers
 /// (source instance on the ingress switch, destination on the last), so
 /// the move is a cross-shard two-controller handoff; the threaded runtime
-/// mirrors it with an [`opennf_rt::ShardedRt`] — one controller per shard joined
-/// by an east-west link. Every sim run additionally answers to the
-/// path-consistency oracle: after a committed move, no switch may deliver
-/// a later-ingress packet to the old instance.
+/// mirrors it with an [`opennf_rt::ShardedRt`] — one worker in the first
+/// and one in the last shard of one controller, so the move is an engine
+/// op marked as crossing the east-west boundary. Every sim run
+/// additionally answers to the path-consistency oracle: after a committed
+/// move, no switch may deliver a later-ingress packet to the old instance.
 pub const M_MULTI_SW: u32 = 1 << 11;
 
 /// Mask bit: draw an op-admission policy (FIFO, weighted-fair, or
@@ -131,9 +132,9 @@ pub struct Spec {
     /// [`M_MULTI_SW`] (never more than the chain has switches, so every
     /// shard owns at least one).
     pub shards: usize,
-    /// Which shard the threaded runtime arms the fault plan on (the plan's
-    /// node ids name that shard's *local* workers). Always 0 on
-    /// single-switch specs; any shard under [`M_MULTI_SW`].
+    /// Which shard's workers the threaded runtime arms the fault plan on
+    /// (each under its global node id, as the plan and the sim name it).
+    /// Always 0 on single-switch specs; any shard under [`M_MULTI_SW`].
     pub fault_shard: usize,
     /// Op-admission policy both runtimes run under. FIFO (the dispatch
     /// behaviour every earlier spec had) unless [`M_SCHED`] draws
@@ -222,7 +223,7 @@ impl Spec {
         // Trailing draws (same append-only discipline): shard counts
         // beyond two on longer chains, and which shard the threaded
         // runtime arms the fault plan on — non-zero shards included, so
-        // destination-side controllers also soak under faults.
+        // the plan's destination-side rules also bite there.
         let mut shards = 1usize;
         let mut fault_shard = 0usize;
         if mask & M_MULTI_SW != 0 {
@@ -299,12 +300,12 @@ pub struct SideReport {
     /// The same recorder as a Chrome trace-event JSON document (open in
     /// `chrome://tracing` or Perfetto).
     pub flight_chrome: String,
-    /// The controller's op journal as JSON — every shard's, newline-joined.
-    /// Both runtimes keep one (the rt op engine journals through the same
-    /// [`opennf_rt::JournalPhase`] ledger); only the sim's is rerun-
-    /// identical (the rt journal stamps wall-clock times). Written next to
-    /// the flight-recorder dump when a crash-recovery spec fails or is
-    /// archived.
+    /// The controller's op journal as JSON — in the sim every shard's,
+    /// newline-joined. Both runtimes keep one (the rt op engine journals
+    /// through the same [`opennf_rt::JournalPhase`] ledger); only the sim's
+    /// is rerun-identical (the rt journal stamps wall-clock times). Written
+    /// next to the flight-recorder dump when a crash-recovery spec fails or
+    /// is archived.
     pub journal_json: String,
     /// One-line verdict of the happens-before oracle (`opennf-prof`): the
     /// causal-graph invariants checked over this side's flight recorder
@@ -508,19 +509,106 @@ fn rt_move_spec(spec: &Spec) -> OpSpec {
 /// trace is replayed wall-clock-paced through the fault-shimmed router →
 /// worker links; virtual plan time maps 1:1 onto nanoseconds since the
 /// controller armed the shim.
+///
+/// A multi-switch spec runs on a [`ShardedRt`] with `spec.shards` shards —
+/// source NF in shard 0, destination in the last, the shards in between
+/// (chains longer than the shard count) own only trunk switches and so
+/// carry no workers — which makes the move a cross-shard op, the runtime
+/// mirror of the sim's sharded topology. The plan is armed on
+/// `spec.fault_shard` only, so on specs that draw a worker-less middle
+/// shard it is inert. That is acceptable for the differential: under
+/// faults only each side's own oracle and rerun-determinism are compared;
+/// fault-free specs — where digests and span sequences must agree — are
+/// unaffected.
 pub fn run_rt(spec: &Spec) -> SideReport {
-    if spec.switches > 1 {
-        return run_rt_sharded(spec);
-    }
     let trace = steady_flows(spec.flows, spec.pps, spec.duration, spec.seed);
     let uids: Vec<u64> = trace.iter().map(|(_, p)| p.uid).collect();
 
     let tel = Telemetry::wall();
-    let nfs: Vec<Box<dyn NetworkFunction>> =
-        vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())];
-    let (ctrl, faults) =
-        RtController::new_with_faults_and_telemetry(nfs, spec.plan.clone(), tel.clone());
-    let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(400));
+    let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+    let timeout = Duration::from_millis(400);
+    let (driven, harnesses, faults) = if spec.switches > 1 {
+        let n_shards = spec.shards.max(2);
+        let mut shard_nfs: Vec<Vec<Box<dyn NetworkFunction>>> =
+            (0..n_shards).map(|_| Vec::new()).collect();
+        shard_nfs[0].push(monitor());
+        shard_nfs[n_shards - 1].push(monitor());
+        let fault_shard = spec.fault_shard.min(n_shards - 1);
+        let (ctrl, faults) =
+            ShardedRt::new_with_faults_on(shard_nfs, spec.plan.clone(), fault_shard, tel.clone());
+        let mut ctrl = ctrl.with_reply_timeout(timeout);
+        (rt_drive(spec, &mut ctrl, &faults, trace), ctrl.shutdown(), faults)
+    } else {
+        let nfs = vec![monitor(), monitor()];
+        let (ctrl, faults) =
+            RtController::new_with_faults_and_telemetry(nfs, spec.plan.clone(), tel.clone());
+        let mut ctrl = ctrl.with_reply_timeout(timeout);
+        (rt_drive(spec, &mut ctrl, &faults, trace), ctrl.shutdown(), faults)
+    };
+    faults.join_pump();
+    let (move_completed, mut excused, journal_json) = driven;
+
+    let ledger = faults.ledger();
+    excused.extend(ledger.lost_sorted());
+    excused.extend(ledger.duplicated_sorted());
+    excused.sort_unstable();
+    excused.dedup();
+
+    // Exactly-once-or-accounted over the merged processed logs.
+    let mut counts = std::collections::HashMap::new();
+    let mut processed = 0usize;
+    for h in &harnesses {
+        for &uid in h.processed_log() {
+            *counts.entry(uid).or_insert(0usize) += 1;
+            processed += 1;
+        }
+    }
+    let mut bad = Vec::new();
+    for &uid in &uids {
+        let n = counts.get(&uid).copied().unwrap_or(0);
+        if n != 1 && excused.binary_search(&uid).is_err() {
+            bad.push((uid, n));
+        }
+    }
+    let mut ok = bad.is_empty();
+    let mut detail = if ok {
+        String::new()
+    } else {
+        bad.truncate(16);
+        format!("rt oracle: unaccounted (uid, times-processed)={bad:?}")
+    };
+
+    let mut chunks = Vec::new();
+    for mut h in harnesses {
+        chunks.extend(h.nf_mut().get_perflow(&Filter::any()));
+    }
+    let hb_summary = apply_hb_oracle(spec, &tel, &journal_json, &mut ok, &mut detail);
+    SideReport {
+        ok,
+        detail,
+        processed,
+        fault_canonical: format!("{:?}", ledger.canonical()),
+        digest: digest_chunks(chunks),
+        move_completed,
+        move_spans: tel.span_sequence("move."),
+        move_span_groups: span_groups(&tel),
+        flight_jsonl: tel.export_jsonl(),
+        flight_chrome: tel.export_chrome(),
+        journal_json,
+        hb_summary,
+    }
+}
+
+/// The live part of [`run_rt`], the same for a standalone controller and
+/// for a sharded one (which derefs to its controller): generator thread,
+/// the move at its virtual time, drain. Returns whether the move
+/// completed, the uids its abort accounting gave up on, and the journal.
+fn rt_drive(
+    spec: &Spec,
+    ctrl: &mut RtController,
+    faults: &Arc<RtFaults>,
+    trace: Vec<TimedPacket>,
+) -> (bool, Vec<u64>, String) {
     ctrl.set_sched_policy(spec.sched_policy);
 
     // Generator thread: replay the trace against the shared router,
@@ -547,7 +635,7 @@ pub fn run_rt(spec: &Spec) -> SideReport {
 
     // Issue the move at its virtual time (unless this is a traffic-only
     // determinism spec).
-    let (move_completed, mut excused) = if spec.mask & M_NO_MOVE != 0 {
+    let (move_completed, excused) = if spec.mask & M_NO_MOVE != 0 {
         (false, Vec::new())
     } else {
         while faults.now() < Time(0) + spec.move_at {
@@ -567,188 +655,7 @@ pub fn run_rt(spec: &Spec) -> SideReport {
     std::thread::sleep(Duration::from_millis(120));
     gen.join().expect("generator");
 
-    let journal_json = ctrl.journal_json();
-    let harnesses = ctrl.shutdown();
-    faults.join_pump();
-
-    let ledger = faults.ledger();
-    excused.extend(ledger.lost_sorted());
-    excused.extend(ledger.duplicated_sorted());
-    excused.sort_unstable();
-    excused.dedup();
-
-    // Exactly-once-or-accounted over the merged processed logs.
-    let mut counts = std::collections::HashMap::new();
-    let mut processed = 0usize;
-    for h in &harnesses {
-        for &uid in h.processed_log() {
-            *counts.entry(uid).or_insert(0usize) += 1;
-            processed += 1;
-        }
-    }
-    let mut bad = Vec::new();
-    for &uid in &uids {
-        let n = counts.get(&uid).copied().unwrap_or(0);
-        if n != 1 && excused.binary_search(&uid).is_err() {
-            bad.push((uid, n));
-        }
-    }
-    let ok = bad.is_empty();
-    let detail = if ok {
-        String::new()
-    } else {
-        bad.truncate(16);
-        format!("rt oracle: unaccounted (uid, times-processed)={bad:?}")
-    };
-
-    let mut chunks = Vec::new();
-    let mut harnesses = harnesses;
-    for h in harnesses.iter_mut() {
-        chunks.extend(h.nf_mut().get_perflow(&Filter::any()));
-    }
-    let mut ok = ok;
-    let mut detail = detail;
-    let hb_summary = apply_hb_oracle(spec, &tel, &journal_json, &mut ok, &mut detail);
-    SideReport {
-        ok,
-        detail,
-        processed,
-        fault_canonical: format!("{:?}", ledger.canonical()),
-        digest: digest_chunks(chunks),
-        move_completed,
-        move_spans: tel.span_sequence("move."),
-        move_span_groups: span_groups(&tel),
-        flight_jsonl: tel.export_jsonl(),
-        flight_chrome: tel.export_chrome(),
-        journal_json,
-        hb_summary,
-    }
-}
-
-/// [`run_rt`] for a multi-switch spec: a [`ShardedRt`] with `spec.shards`
-/// controllers — source NF in shard 0, destination in the last shard,
-/// intermediate shards (chains longer than the shard count) own only
-/// trunk switches and so carry no workers — making the move a cross-shard
-/// handoff over the east-west link, the runtime mirror of the sim's
-/// sharded topology.
-///
-/// Fault caveat: the plan is armed on `spec.fault_shard` only (its node
-/// ids name that shard's *local* workers), so on specs that draw a
-/// worker-less middle shard the plan is inert. That is acceptable for the
-/// differential: under faults only each side's own oracle and
-/// rerun-determinism are compared; fault-free specs — where digests and
-/// span sequences must agree — are unaffected.
-fn run_rt_sharded(spec: &Spec) -> SideReport {
-    let trace = steady_flows(spec.flows, spec.pps, spec.duration, spec.seed);
-    let uids: Vec<u64> = trace.iter().map(|(_, p)| p.uid).collect();
-
-    let tel = Telemetry::wall();
-    // Source in shard 0, destination in the last shard, worker-less
-    // shards in between — the shard layout the sim derives when the
-    // chain is longer than the shard count.
-    let n_shards = spec.shards.max(2);
-    let mut shard_nfs: Vec<Vec<Box<dyn NetworkFunction>>> =
-        (0..n_shards).map(|_| Vec::new()).collect();
-    shard_nfs[0].push(Box::new(AssetMonitor::new()));
-    shard_nfs[n_shards - 1].push(Box::new(AssetMonitor::new()));
-    let (ctrl, faults) = ShardedRt::new_with_faults_on(
-        shard_nfs,
-        spec.plan.clone(),
-        spec.fault_shard.min(n_shards - 1),
-        tel.clone(),
-    );
-    let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(400));
-    ctrl.set_sched_policy(spec.sched_policy);
-
-    let router = ctrl.router.clone();
-    let links = [ctrl.data_tx(0), ctrl.data_tx(1)];
-    let gen_faults = faults.clone();
-    let done = Arc::new(AtomicBool::new(false));
-    let gen_done = done.clone();
-    let gen = std::thread::spawn(move || {
-        for (t, mut pkt) in trace {
-            while gen_faults.now() < Time(t) {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            pkt.ingress_ns = t;
-            if let Some(w) = router.route(&pkt) {
-                let _ = links[w].send(&WireMsg::Packet { packet: pkt });
-            }
-        }
-        gen_done.store(true, Ordering::SeqCst);
-    });
-
-    let (move_completed, mut excused) = if spec.mask & M_NO_MOVE != 0 {
-        (false, Vec::new())
-    } else {
-        while faults.now() < Time(0) + spec.move_at {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        let move_result = ctrl.move_flows_cross(rt_move_spec(spec));
-        (move_result.is_ok(), ctrl.abort_lost().to_vec())
-    };
-
-    while !done.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    std::thread::sleep(Duration::from_millis(120));
-    gen.join().expect("generator");
-
-    let journal_json = ctrl.journal_json();
-    let harnesses = ctrl.shutdown();
-    faults.join_pump();
-
-    let ledger = faults.ledger();
-    excused.extend(ledger.lost_sorted());
-    excused.extend(ledger.duplicated_sorted());
-    excused.sort_unstable();
-    excused.dedup();
-
-    let mut counts = std::collections::HashMap::new();
-    let mut processed = 0usize;
-    for h in &harnesses {
-        for &uid in h.processed_log() {
-            *counts.entry(uid).or_insert(0usize) += 1;
-            processed += 1;
-        }
-    }
-    let mut bad = Vec::new();
-    for &uid in &uids {
-        let n = counts.get(&uid).copied().unwrap_or(0);
-        if n != 1 && excused.binary_search(&uid).is_err() {
-            bad.push((uid, n));
-        }
-    }
-    let ok = bad.is_empty();
-    let detail = if ok {
-        String::new()
-    } else {
-        bad.truncate(16);
-        format!("rt oracle (sharded): unaccounted (uid, times-processed)={bad:?}")
-    };
-
-    let mut chunks = Vec::new();
-    let mut harnesses = harnesses;
-    for h in harnesses.iter_mut() {
-        chunks.extend(h.nf_mut().get_perflow(&Filter::any()));
-    }
-    let mut ok = ok;
-    let mut detail = detail;
-    let hb_summary = apply_hb_oracle(spec, &tel, &journal_json, &mut ok, &mut detail);
-    SideReport {
-        ok,
-        detail,
-        processed,
-        fault_canonical: format!("{:?}", ledger.canonical()),
-        digest: digest_chunks(chunks),
-        move_completed,
-        move_spans: tel.span_sequence("move."),
-        move_span_groups: span_groups(&tel),
-        flight_jsonl: tel.export_jsonl(),
-        flight_chrome: tel.export_chrome(),
-        journal_json,
-        hb_summary,
-    }
+    (move_completed, excused, ctrl.journal_json())
 }
 
 /// The cross-runtime verdict for one spec.
@@ -996,22 +903,34 @@ mod tests {
         let report = differential(&spec);
         assert!(report.ok, "three-shard differential failed: {}", report.detail);
         assert!(report.sim.move_completed && report.rt.move_completed);
-        // Both sides journal the handoff through the owning shard.
+        // Both sides journal the cross-shard move to its commit.
         assert!(report.sim.journal_json.contains("Committed"));
         assert!(report.rt.journal_json.contains("Committed"));
     }
 
     #[test]
     fn rt_fault_plan_arms_on_a_non_zero_shard() {
-        // First seed whose multi-switch spec faults a non-zero shard: the
-        // threaded runtime must still satisfy its own oracle with the
-        // plan armed away from the source's shard.
-        let seed = (0..256u64)
-            .find(|s| Spec::from_seed(*s, M_DEFAULT | M_MULTI_SW).fault_shard > 0)
-            .expect("a non-zero fault-shard seed exists");
-        let spec = Spec::from_seed(seed, M_DEFAULT | M_MULTI_SW);
+        // First seed that arms the plan on the destination's shard with a
+        // stall window covering the move's first puts. The threaded
+        // runtime must still satisfy its own oracle, and the destination
+        // is addressed as the plan's DST_NODE there: the stall bites and
+        // lands in the ledger.
+        let spec = (0..256u64)
+            .map(|s| Spec::from_seed(s, M_DEFAULT | M_MULTI_SW))
+            .find(|s| {
+                let (_, from, until) = s.plan.stalls[0];
+                let move_at = Time(0) + s.move_at;
+                s.fault_shard == s.shards - 1 && from <= move_at && move_at + Dur::millis(15) < until
+            })
+            .expect("a seed stalls the destination's shard across the move");
         let rt = run_rt(&spec);
         assert!(rt.ok, "rt oracle with faults on shard {}: {}", spec.fault_shard, rt.detail);
+        assert!(
+            !rt.fault_canonical.contains("(\"stalled\", 0)"),
+            "stall(DST_NODE) bites on shard {}: {}",
+            spec.fault_shard,
+            rt.fault_canonical
+        );
     }
 
     #[test]
@@ -1041,7 +960,7 @@ mod tests {
         let report = differential(&spec);
         assert!(report.ok, "multi-switch differential failed: {}", report.detail);
         assert!(report.sim.move_completed, "sim cross-shard move committed");
-        assert!(report.rt.move_completed, "rt cross-shard handoff committed");
+        assert!(report.rt.move_completed, "rt cross-shard move committed");
         assert_eq!(report.sim.move_spans, canonical, "sim phase order");
         assert_eq!(report.rt.move_spans, canonical, "rt phase order");
         // Both shard journals are captured, newline-joined.

@@ -9,6 +9,7 @@
 //! caller — like the simulator's failover app — decides how to recover.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,13 +111,13 @@ impl OpResidue {
 /// The controller: owns the workers and the router.
 pub struct RtController {
     pub(crate) workers: Vec<WorkerHandle>,
-    /// The shared rule table generators route through. Under a
-    /// [`ShardedRt`](crate::ShardedRt) every shard holds the one global
-    /// table, whose rules carry *global* worker indices.
+    /// The shared rule table generators route through.
     pub router: Arc<Router>,
-    /// Global index of this controller's worker 0 in [`Self::router`]'s
-    /// rules (shard-major; 0 for a standalone controller).
-    pub(crate) route_base: usize,
+    /// Worker → shard, when a [`ShardedRt`](crate::ShardedRt) partitioned
+    /// the workers (empty when standalone). A shard is an ownership
+    /// domain, not a second engine: the partition decides which ops are
+    /// marked as crossing the east-west boundary, nothing else.
+    pub(crate) shard_of: Vec<usize>,
     /// [`Router::lookups`] as last sampled, and when it was last seen to
     /// have moved — the origin of the post-flip quiet window. A change
     /// noticed late is stamped late, which only lengthens the window.
@@ -189,7 +190,7 @@ impl RtController {
     /// handle (keep a clone to read spans/metrics during and after the
     /// run).
     pub fn new_with_telemetry(nfs: Vec<Box<dyn NetworkFunction>>, tel: Telemetry) -> Self {
-        Self::build(nfs, None, tel, Self::default_router(), 0).0
+        Self::build(nfs, None, tel).0
     }
 
     /// Like [`RtController::new_with_telemetry`], but every channel —
@@ -203,32 +204,31 @@ impl RtController {
         plan: FaultPlan,
         tel: Telemetry,
     ) -> (Self, Arc<RtFaults>) {
-        let (ctrl, faults) = Self::build(nfs, Some(plan), tel, Self::default_router(), 0);
+        let n = nfs.len();
+        let (ctrl, faults) = Self::build(nfs, Some((plan, 0..n)), tel);
         (ctrl, faults.expect("fault plan was supplied"))
     }
 
-    /// A rule table holding only the default route to worker 0.
-    pub(crate) fn default_router() -> Arc<Router> {
-        let router = Arc::new(Router::new());
-        router.install(0, Filter::any(), 0);
-        router
-    }
-
-    /// The one constructor: spawns the workers (every channel shimmed
-    /// when a `plan` is given) behind `router`, whose rules name this
-    /// controller's worker `l` as `route_base + l`.
+    /// The one constructor: spawns the workers behind a rule table holding
+    /// the default route to worker 0. With a `plan`, the workers in its
+    /// range — the fault domain — get every channel (uplink, controller
+    /// link, data link, P2P dials) shimmed, each addressed as
+    /// [`worker_node`] of its index.
     pub(crate) fn build(
         nfs: Vec<Box<dyn NetworkFunction>>,
-        plan: Option<FaultPlan>,
+        plan: Option<(FaultPlan, Range<usize>)>,
         tel: Telemetry,
-        router: Arc<Router>,
-        route_base: usize,
     ) -> (Self, Option<Arc<RtFaults>>) {
+        let (plan, domain) = plan.map_or((None, 0..0), |(plan, domain)| (Some(plan), domain));
         let faults = plan.map(|plan| {
             let (faults, pump) = RtFaults::arm(plan);
             faults.set_telemetry(tel.clone());
             (faults, pump)
         });
+        // The shim for worker `i`'s channels, if it is in the fault domain.
+        let shim_of = |i: usize| faults.as_ref().filter(|_| domain.contains(&i));
+        let router = Arc::new(Router::new());
+        router.install(0, Filter::any(), 0);
         let (to_ctrl, from_workers) = unbounded();
         let n = nfs.len();
         let dials = tel.counter("rt.p2p.dials");
@@ -238,7 +238,7 @@ impl RtController {
             .into_iter()
             .enumerate()
             .map(|(i, nf)| {
-                let up = match &faults {
+                let up = match shim_of(i) {
                     Some((f, pump)) => FaultyChannel::shimmed(
                         to_ctrl.clone(),
                         worker_node(i),
@@ -258,9 +258,9 @@ impl RtController {
         // delay chunk batches on the direct path too).
         let peer_txs: Vec<Sender<String>> = workers.iter().map(|w| w.tx.clone()).collect();
         for (i, mesh) in meshes.iter().enumerate() {
-            mesh.wire(i, peer_txs.clone(), faults.clone());
+            mesh.wire(i, peer_txs.clone(), shim_of(i).cloned());
         }
-        let link = |i: usize, src| match &faults {
+        let link = |i: usize, src| match shim_of(i) {
             Some((f, pump)) => FaultyChannel::shimmed(
                 workers[i].tx.clone(),
                 src,
@@ -280,7 +280,7 @@ impl RtController {
             lookups_seen: router.lookups(),
             lookups_seen_at: Instant::now(),
             router,
-            route_base,
+            shard_of: Vec::new(),
             from_workers,
             to_ctrl,
             next_id: 1,
@@ -378,18 +378,12 @@ impl RtController {
     /// method is the single-threaded convenience). Fails if the routed-to
     /// worker is dead. Runs through the router → worker fault shim.
     pub fn inject(&self, pkt: opennf_packet::Packet) -> Result<(), RtError> {
-        if let Some(w) = self.local(self.router.route(&pkt)) {
+        if let Some(w) = self.router.route(&pkt) {
             self.data_links[w]
                 .send(&WireMsg::Packet { packet: pkt })
                 .map_err(|_| RtError::WorkerGone { worker: w })?;
         }
         Ok(())
-    }
-
-    /// A rule-table hit as one of this controller's own workers; hits that
-    /// name another shard's worker are not ours to deliver.
-    pub(crate) fn local(&self, hit: Option<usize>) -> Option<usize> {
-        hit?.checked_sub(self.route_base).filter(|&l| l < self.workers.len())
     }
 
     /// Samples the data plane's lookup count and returns when it was last
@@ -403,9 +397,8 @@ impl RtController {
         self.lookups_seen_at
     }
 
-    /// Flips `filter` to `worker` (a *global* index: the engine's local
-    /// destination plus `route_base`, or the cross-shard handoff's peer)
-    /// and returns the origin of the post-flip quiet window
+    /// Flips `filter` to `worker` and returns the origin of the post-flip
+    /// quiet window
     /// ([`flip_settled`](crate::engine::flip_settled)): when the data plane
     /// was last seen looking a route up. Sampled *after* the install, so
     /// every lookup that read the old table is in the sample.
@@ -504,7 +497,7 @@ impl RtController {
     /// Waits for the response to `id`, buffering any events that arrive in
     /// the meantime into `events`. An [`WireEvent::NfFailed`] report from
     /// any worker aborts the wait — that reply is never coming.
-    pub(crate) fn await_reply(
+    fn await_reply(
         &mut self,
         id: u64,
         events: &mut Vec<WireEvent>,
@@ -528,7 +521,7 @@ impl RtController {
     }
 
     /// Checks a reply that should be a plain completion.
-    pub(crate) fn expect_done(reply: WireReply) -> Result<(), RtError> {
+    fn expect_done(reply: WireReply) -> Result<(), RtError> {
         match reply {
             WireReply::Done => Ok(()),
             WireReply::Error { message } => Err(RtError::Wire(message)),
@@ -627,6 +620,31 @@ impl RtController {
             self.tel.event("ctrl.crash", Some(format!("after={phase:?}")));
         }
         self.crashed
+    }
+
+    /// The shards of an op's endpoints when they differ, i.e. when the op
+    /// crosses the east-west boundary (never on a standalone controller).
+    fn ew_shards(&self, src: usize, dst: usize) -> Option<(usize, usize)> {
+        let (a, b) = (*self.shard_of.get(src)?, *self.shard_of.get(dst)?);
+        (a != b).then_some((a, b))
+    }
+
+    /// Marks a cross-shard op's admission. The happens-before oracle pairs
+    /// this with the op's [`RtController::ew_release`] per peer shard.
+    pub(crate) fn ew_handoff(&self, op: OpId, src: usize, dst: usize) {
+        if let Some((a, b)) = self.ew_shards(src, dst) {
+            self.tel
+                .event("ew.handoff", Some(format!("op={} {src}->{dst} shard={a} peer={b}", op.0)));
+        }
+    }
+
+    /// Marks a cross-shard op's terminal journal record: the peer shard
+    /// learns the outcome.
+    pub(crate) fn ew_release(&self, op: OpId, src: usize, dst: usize, committed: bool) {
+        if let Some((_, b)) = self.ew_shards(src, dst) {
+            self.tel
+                .event("ew.release", Some(format!("op={} committed={committed} shard={b}", op.0)));
+        }
     }
 
     /// The rt op journal (the same ledger shape the sim controller keeps).
@@ -740,7 +758,7 @@ impl RtController {
             let terminal = if forward {
                 // Only a completed move redirects traffic.
                 if res.kind == opennf_sched::OpClass::Move {
-                    self.router.install(10, res.filter, self.route_base + res.dst);
+                    self.router.install(10, res.filter, res.dst);
                 }
                 report.end_ns = self.tel.now_ns();
                 JournalPhase::Committed
@@ -751,6 +769,7 @@ impl RtController {
                 JournalPhase::Aborted
             };
             self.jlog(op, terminal, &report);
+            self.ew_release(op, res.src, res.dst, forward);
             outcomes.push((op, terminal));
         }
         // Stragglers whose source had no in-flight op: route each packet
@@ -758,7 +777,7 @@ impl RtController {
         for evs in stray.into_values() {
             for ev in evs {
                 if let WireEvent::PacketReceived { ref packet } = ev {
-                    if let Some(w) = self.local(self.router.lookup(packet)) {
+                    if let Some(w) = self.router.lookup(packet) {
                         let _ = self.replay_one(w, ev);
                     }
                 }
@@ -874,20 +893,13 @@ impl RtController {
     /// Tears the op's event filter down at `src` over the *management
     /// channel* (the raw, unshimmed worker channel — standing in for the
     /// reliable control connection the paper's controller keeps) and
-    /// collects the events the teardown flushes out, without replaying
-    /// them anywhere. The worker channel is FIFO, so once the disable
-    /// acks, no further events can be raised by that filter. A sharded
-    /// control plane uses this to harvest the stragglers locally and ship
-    /// them east-west to the shard that owns the destination.
-    pub(crate) fn settle_collect(&mut self, src: usize, filter: Filter) -> Vec<WireEvent> {
-        self.settle_collect_tagged(src, filter).into_iter().map(|(_, ev)| ev).collect()
-    }
-
-    /// [`RtController::settle_collect`] keeping each event's raising
-    /// worker. Multi-op paths need the tag: recovery tears several ops
-    /// down in sequence, and a straggler harvested during one op's
-    /// teardown may belong to another in-flight op's source.
-    pub(crate) fn settle_collect_tagged(
+    /// collects the events the teardown flushes out, each with its raising
+    /// worker, without replaying them anywhere. The worker channel is
+    /// FIFO, so once the disable acks, no further events can be raised by
+    /// that filter. Recovery needs the tag: it tears several ops down in
+    /// sequence, and a straggler harvested during one op's teardown may
+    /// belong to another in-flight op's source.
+    fn settle_collect_tagged(
         &mut self,
         src: usize,
         filter: Filter,
@@ -957,36 +969,6 @@ impl RtController {
         lost.sort_unstable();
         lost.dedup();
         (replayed, lost)
-    }
-
-    /// Collects every event that arrives within `window`, without issuing
-    /// any call. Used by the sharded control plane to drain stragglers
-    /// (late buffered packets, processed-acks) after a cross-shard
-    /// forwarding flip, before shipping them east-west.
-    pub(crate) fn drain_events(
-        &mut self,
-        window: Duration,
-    ) -> Result<Vec<WireEvent>, RtError> {
-        let mut events = Vec::new();
-        let deadline = Instant::now() + window;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match self.recv_msg(left.min(Duration::from_millis(20))) {
-                Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
-                    return Err(RtError::NfFailed { worker, reason });
-                }
-                Recv::Msg(WireMsg::Event { ev, .. }) => {
-                    self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                    events.push(ev);
-                }
-                Recv::Msg(_) | Recv::Bad(_) | Recv::Timeout => {}
-                Recv::Disconnected => break,
-            }
-        }
-        Ok(events)
     }
 
     /// Shuts all workers down and returns their harnesses in index order.

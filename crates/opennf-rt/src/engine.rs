@@ -79,7 +79,7 @@ use crate::error::RtError;
 use crate::wire::{WireAction, WireCall, WireEvent, WireMsg, WireReply};
 
 /// Chunks per streamed export batch (one `ChunkBatch` frame, one put).
-pub(crate) const STREAM_BATCH: usize = 64;
+const STREAM_BATCH: usize = 64;
 
 /// Dispatch-loop poll granularity: how long one `recv` blocks before the
 /// loop re-checks per-op deadlines.
@@ -92,8 +92,8 @@ const FWD_DRAIN: Duration = Duration::from_millis(200);
 /// (keeps single-move latency at the synchronous controller's level).
 const FWD_IDLE: Duration = Duration::from_millis(20);
 
-/// The post-flip quiet window, one rule for the engine and the cross-shard
-/// handoff. A packet *enqueued* at the source before the flip needs no
+/// The post-flip quiet window.
+/// A packet *enqueued* at the source before the flip needs no
 /// timer: the worker inbox is FIFO and the fenced `disableEvents` travels
 /// it, so the packet raises its event before the ack and is replayed at
 /// the ack. The window covers the one remaining race — a generator that
@@ -102,7 +102,7 @@ const FWD_IDLE: Duration = Duration::from_millis(20);
 /// event or, before any, the last lookup observed up to the flip
 /// ([`RtController::flip_route`]). `ceiling` bounds it under traffic that
 /// never pauses.
-pub(crate) fn flip_settled(now: Instant, last_activity: Instant, ceiling: Instant) -> bool {
+fn flip_settled(now: Instant, last_activity: Instant, ceiling: Instant) -> bool {
     now >= ceiling || now >= last_activity + FWD_IDLE
 }
 
@@ -588,6 +588,7 @@ impl RtController {
             t.op.0,
             OpResidue::new(t.spec.src, t.spec.dst, t.spec.filter, t.spec.kind),
         );
+        self.ew_handoff(t.op, t.spec.src, t.spec.dst);
         let root = self.tel.begin_linked_arg(
             0,
             t.spec.kind.name(),
@@ -804,7 +805,7 @@ impl RtController {
                     return;
                 }
                 t.phase = Some(self.tel.begin_under(root, "move.fwd_update"));
-                t.last_event = self.flip_route(t.spec.filter, self.route_base + t.spec.dst);
+                t.last_event = self.flip_route(t.spec.filter, t.spec.dst);
                 t.flipped = true;
                 t.fwd_deadline = Instant::now() + FWD_DRAIN;
                 self.set_st(t, St::FwdWait);
@@ -1047,7 +1048,7 @@ impl RtController {
         }
         // No owner: deliver wherever the rule table points now.
         if let WireEvent::PacketReceived { ref packet } = ev {
-            if let Some(w) = self.local(self.router.lookup(packet)) {
+            if let Some(w) = self.router.lookup(packet) {
                 let _ = self.replay_one(w, ev);
             }
         }
@@ -1136,6 +1137,7 @@ impl RtController {
         t.report.events_released = t.replayed;
         t.report.end_ns = self.tel.now_ns();
         self.jlog(t.op, JournalPhase::Committed, &t.report);
+        self.ew_release(t.op, t.spec.src, t.spec.dst, true);
         if let Some(root) = t.root.take() {
             self.tel.end(root);
         }
@@ -1231,6 +1233,7 @@ impl RtController {
         t.report.events_released = t.replayed;
         t.report.end_ns = self.tel.now_ns();
         self.jlog(t.op, JournalPhase::Aborted, &t.report);
+        self.ew_release(t.op, t.spec.src, t.spec.dst, false);
         if let Some(root) = t.root.take() {
             self.tel.end(root);
         }

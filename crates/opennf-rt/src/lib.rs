@@ -41,7 +41,7 @@ pub use engine::OpSpec;
 pub use error::RtError;
 pub use faults::{worker_node, FaultLedger, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 pub use router::Router;
-pub use shards::{EwMsg, ShardedRt};
+pub use shards::ShardedRt;
 pub use wire::{WireCall, WireEvent, WireMsg, WireReply};
 pub use worker::{spawn_worker, spawn_worker_faulty, PeerMesh, WorkerHandle};
 

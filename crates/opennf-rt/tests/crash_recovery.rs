@@ -13,10 +13,10 @@
 use std::net::Ipv4Addr;
 
 use opennf_controller::JournalPhase;
-use opennf_nf::NetworkFunction;
+use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
-use opennf_rt::{OpSpec, RtController, RtError};
+use opennf_rt::{OpSpec, RtController, RtError, ShardedRt, WireMsg};
 
 const FLOWS: u32 = 30;
 
@@ -30,20 +30,57 @@ fn pkt(uid: u64, flow: u32) -> Packet {
     Packet::builder(uid, key).flags(TcpFlags::SYN).build()
 }
 
-fn loaded_controller() -> RtController {
-    let mut ctrl = RtController::new(vec![
-        Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-        Box::new(AssetMonitor::new()),
-    ]);
+fn monitor() -> Box<dyn NetworkFunction> {
+    Box::new(AssetMonitor::new())
+}
+
+fn load(ctrl: &mut RtController) {
     for f in 0..FLOWS {
         ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
     }
     ctrl.quiesce(0).expect("worker alive");
+}
+
+fn loaded_controller() -> RtController {
+    let mut ctrl = RtController::new(vec![monitor(), monitor()]);
+    load(&mut ctrl);
     ctrl
 }
 
-fn conn_counts(ctrl: RtController) -> (usize, usize) {
-    let harnesses = ctrl.shutdown();
+/// The two loaded monitors under either control plane: one standalone
+/// controller, or one worker in each of two shards.
+enum Topo {
+    Single(RtController),
+    Sharded(ShardedRt),
+}
+
+impl Topo {
+    fn loaded(sharded: bool) -> Topo {
+        if sharded {
+            let mut ctrl = ShardedRt::new(vec![vec![monitor()], vec![monitor()]]);
+            load(&mut ctrl);
+            Topo::Sharded(ctrl)
+        } else {
+            Topo::Single(loaded_controller())
+        }
+    }
+
+    fn ctrl(&mut self) -> &mut RtController {
+        match self {
+            Topo::Single(c) => c,
+            Topo::Sharded(s) => s,
+        }
+    }
+
+    fn shutdown(self) -> Vec<EventedNf> {
+        match self {
+            Topo::Single(c) => c.shutdown(),
+            Topo::Sharded(s) => s.shutdown(),
+        }
+    }
+}
+
+fn conn_counts(harnesses: Vec<EventedNf>) -> (usize, usize) {
     let count = |i: usize| {
         let any: &dyn std::any::Any = harnesses[i].nf();
         any.downcast_ref::<AssetMonitor>().unwrap().conn_count()
@@ -52,14 +89,17 @@ fn conn_counts(ctrl: RtController) -> (usize, usize) {
 }
 
 /// Crash the engine right after each of the five non-terminal journal
-/// appends, in both transfer modes. Every run must surface `CtrlCrashed`,
-/// recover to the phase's mandated terminal (fail forward at
-/// `Transferred`+, roll back before), and leave all 30 flows intact at
-/// exactly the endpoint that terminal implies — then complete a fresh
-/// move, proving the controller is not poisoned. A rollback must also
-/// leave nothing behind at the destination: at `ExportDone` a P2P move has
-/// already landed every flow there worker → worker, so an empty
-/// destination means recovery's `AbortTransfer` purge ran.
+/// appends, in both transfer modes, within one shard and across a shard
+/// boundary. Every run must surface `CtrlCrashed`, recover to the phase's
+/// mandated terminal (fail forward at `Transferred`+, roll back before)
+/// with nothing left in flight, and leave all 30 flows intact at exactly
+/// the endpoint that terminal implies, with the source's drop filter gone —
+/// then complete a fresh move, proving the controller is not poisoned. A
+/// rollback must also leave nothing behind at the destination: at
+/// `ExportDone` a P2P move has already landed every flow there worker →
+/// worker, so an empty destination means recovery's `AbortTransfer` purge
+/// ran. The cross-shard op is marked with one `ew.handoff` and, from
+/// recovery, one later `ew.release`; the in-shard op with neither.
 #[test]
 fn crash_at_every_phase_recovers_to_the_mandated_terminal() {
     let phases = [
@@ -69,60 +109,97 @@ fn crash_at_every_phase_recovers_to_the_mandated_terminal() {
         (JournalPhase::Imported, true),
         (JournalPhase::Flushed, true),
     ];
-    type Mv = fn(usize, usize, Filter) -> OpSpec;
-    for (mode, mv) in [("relayed", OpSpec::mv as Mv), ("p2p", OpSpec::mv_p2p)] {
-        for (phase, forward) in phases {
-            let crashed_and_recovered = || {
-                let mut ctrl = loaded_controller();
-                ctrl.crash_after(phase);
-                let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
-                assert!(
-                    matches!(res[0], Err(RtError::CtrlCrashed)),
-                    "{mode} {phase:?}: crashed op must fail with CtrlCrashed, got {:?}",
-                    res[0]
-                );
-                assert!(ctrl.is_crashed(), "{mode} {phase:?}: crash hook fired");
-
-                let outcomes = ctrl.recover();
-                let expected =
-                    if forward { JournalPhase::Committed } else { JournalPhase::Aborted };
-                assert_eq!(outcomes.len(), 1, "{mode} {phase:?}: one op recovered");
-                assert_eq!(outcomes[0].1, expected, "{mode} {phase:?}: terminal phase");
-                let last = ctrl.journal().records.last().expect("journal non-empty");
-                assert_eq!(last.phase, expected, "{mode} {phase:?}: journal ends terminal");
-                assert!(!ctrl.is_crashed(), "{mode} {phase:?}: recovery clears the crash flag");
-                ctrl
-            };
-
-            // Where recovery itself left the state.
-            let expected = if forward { (0, FLOWS as usize) } else { (FLOWS as usize, 0) };
-            assert_eq!(
-                conn_counts(crashed_and_recovered()),
-                expected,
-                "{mode} {phase:?}: state whole at exactly one endpoint after recovery"
-            );
-
-            // The controller survives recovery: the follow-up move (from
-            // wherever recovery left the state) completes normally.
-            let mut ctrl = crashed_and_recovered();
-            let (src, dst) = if forward { (1, 0) } else { (0, 1) };
-            let stats = ctrl
-                .run_ops(vec![mv(src, dst, Filter::any())])
-                .remove(0)
-                .unwrap_or_else(|e| panic!("{mode} {phase:?}: post-recovery move failed: {e}"));
-            assert_eq!(
-                stats.chunks, FLOWS as usize,
-                "{mode} {phase:?}: post-recovery move is whole"
-            );
-
-            // The follow-up move put everything at `dst`; nothing was lost
-            // or duplicated by the crash + recovery + re-move sequence.
-            let (m0, m1) = conn_counts(ctrl);
-            let (at_dst, at_src) = if dst == 1 { (m1, m0) } else { (m0, m1) };
-            assert_eq!(at_dst, FLOWS as usize, "{mode} {phase:?}: all flows at final dst");
-            assert_eq!(at_src, 0, "{mode} {phase:?}: final src fully released");
+    for sharded in [false, true] {
+        for (mode, mv) in [("relayed", OpSpec::mv as Mv), ("p2p", OpSpec::mv_p2p)] {
+            for (phase, forward) in phases {
+                crash_and_recover(sharded, mode, mv, phase, forward);
+            }
         }
     }
+}
+
+type Mv = fn(usize, usize, Filter) -> OpSpec;
+
+fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, forward: bool) {
+    const PROBE: u64 = 9_999;
+    let case = format!("{mode} {phase:?}{}", if sharded { " cross-shard" } else { "" });
+    let crashed_and_recovered = || {
+        let mut topo = Topo::loaded(sharded);
+        let ctrl = topo.ctrl();
+        ctrl.crash_after(phase);
+        let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
+        assert!(
+            matches!(res[0], Err(RtError::CtrlCrashed)),
+            "{case}: crashed op must fail with CtrlCrashed, got {:?}",
+            res[0]
+        );
+        assert!(ctrl.is_crashed(), "{case}: crash hook fired");
+
+        let outcomes = ctrl.recover();
+        let expected = if forward { JournalPhase::Committed } else { JournalPhase::Aborted };
+        assert_eq!(outcomes.len(), 1, "{case}: one op recovered");
+        assert_eq!(outcomes[0].1, expected, "{case}: terminal phase");
+        let last = ctrl.journal().records.last().expect("journal non-empty");
+        assert_eq!(last.phase, expected, "{case}: journal ends terminal");
+        assert!(ctrl.journal().in_flight().is_empty(), "{case}: nothing left in flight");
+        assert!(!ctrl.is_crashed(), "{case}: recovery clears the crash flag");
+
+        let recs = ctrl.telemetry().records();
+        let marks: Vec<_> = recs
+            .iter()
+            .filter(|r| r.name.starts_with("ew."))
+            .map(|r| (r.name, r.arg.as_deref().unwrap_or("")))
+            .collect();
+        if sharded {
+            let release = format!("op=1 committed={forward} shard=1");
+            assert_eq!(
+                marks,
+                [("ew.handoff", "op=1 0->1 shard=0 peer=1"), ("ew.release", &*release)],
+                "{case}: handoff, then recovery's release"
+            );
+        } else {
+            assert!(marks.is_empty(), "{case}: nothing crossed a shard");
+        }
+        topo
+    };
+
+    // Where recovery itself left the state — and the source's event
+    // filter is gone: a packet of a new flow sent there is processed.
+    let mut topo = crashed_and_recovered();
+    let ctrl = topo.ctrl();
+    ctrl.worker_tx(0)
+        .send(WireMsg::Packet { packet: pkt(PROBE, FLOWS) }.to_json())
+        .expect("worker alive");
+    ctrl.quiesce(0).expect("worker alive");
+    let harnesses = topo.shutdown();
+    assert!(
+        harnesses[0].processed_log().contains(&PROBE),
+        "{case}: the source processes packets again"
+    );
+    let expected = if forward { (1, FLOWS as usize) } else { (FLOWS as usize + 1, 0) };
+    assert_eq!(
+        conn_counts(harnesses),
+        expected,
+        "{case}: state whole at exactly one endpoint after recovery (plus the probe's flow)"
+    );
+
+    // The controller survives recovery: the follow-up move (from
+    // wherever recovery left the state) completes normally.
+    let mut topo = crashed_and_recovered();
+    let (src, dst) = if forward { (1, 0) } else { (0, 1) };
+    let stats = topo
+        .ctrl()
+        .run_ops(vec![mv(src, dst, Filter::any())])
+        .remove(0)
+        .unwrap_or_else(|e| panic!("{case}: post-recovery move failed: {e}"));
+    assert_eq!(stats.chunks, FLOWS as usize, "{case}: post-recovery move is whole");
+
+    // The follow-up move put everything at `dst`; nothing was lost
+    // or duplicated by the crash + recovery + re-move sequence.
+    let (m0, m1) = conn_counts(topo.shutdown());
+    let (at_dst, at_src) = if dst == 1 { (m1, m0) } else { (m0, m1) };
+    assert_eq!(at_dst, FLOWS as usize, "{case}: all flows at final dst");
+    assert_eq!(at_src, 0, "{case}: final src fully released");
 }
 
 /// A copy journals three boundaries — `Armed`, `ExportDone`,
@@ -162,7 +239,7 @@ fn copy_crash_at_each_boundary_recovers_nondestructively() {
 
         // Non-destructive at every boundary: the source never lost a
         // flow, and the destination holds the (re-)copied clone.
-        let (m0, m1) = conn_counts(ctrl);
+        let (m0, m1) = conn_counts(ctrl.shutdown());
         assert_eq!(m0, FLOWS as usize, "{phase:?}: source kept every flow");
         assert_eq!(m1, FLOWS as usize, "{phase:?}: destination holds the clone");
     }
@@ -208,7 +285,7 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
         // The move put everything at worker 1; a committed share's
         // replica held the same flows, so state is exactly-once per
         // endpoint view either way.
-        let (m0, m1) = conn_counts(ctrl);
+        let (m0, m1) = conn_counts(ctrl.shutdown());
         assert_eq!(m0, 0, "{phase:?}: source released by the follow-up move");
         assert_eq!(m1, FLOWS as usize, "{phase:?}: destination holds every flow");
     }

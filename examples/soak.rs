@@ -14,7 +14,10 @@
 //! Exit status: 0 when every case passed, 1 on the first failure (after
 //! printing `REPRO: cargo run --release --example soak -- --seed S --mask M`).
 
-use conformance::{differential, shrink_mask, spec_excuses, DiffReport, Spec, M_DEFAULT};
+use conformance::{
+    differential, shrink_mask, spec_excuses, DiffReport, Spec, M_CTRL_CRASH, M_DEFAULT, M_NO_MOVE,
+    M_P2P, M_SCHED,
+};
 use opennf_prof::{check, profile, render, Trace};
 
 struct Args {
@@ -129,6 +132,17 @@ fn dump_profile(spec: &Spec, report: &DiffReport) {
 
 fn main() {
     let args = parse_args();
+    // `M_NO_MOVE` issues no op, so a lane that also sets a bit that only
+    // acts on an op would soak plain traffic while claiming more.
+    let needs_a_move = args.mask & (M_CTRL_CRASH | M_P2P | M_SCHED);
+    if args.mask & M_NO_MOVE != 0 && needs_a_move != 0 {
+        eprintln!(
+            "mask 0x{:x}: bit 9 (M_NO_MOVE) issues no op, so 0x{needs_a_move:x} \
+             (M_CTRL_CRASH / M_P2P / M_SCHED) has nothing to act on; clear one or the other",
+            args.mask
+        );
+        std::process::exit(2);
+    }
     let seeds: Vec<u64> = match args.single {
         Some(s) => vec![s],
         None => (args.start..args.start + args.seeds).collect(),
