@@ -20,6 +20,7 @@ use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_packet::{Filter, FlowId};
 use opennf_telemetry::Telemetry;
 
+use crate::engine::OpSpec;
 use crate::error::RtError;
 use crate::faults::{worker_node, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 use crate::router::Router;
@@ -50,23 +51,20 @@ pub struct MoveStats {
 }
 
 /// What recovery needs to finish or roll back an op, beyond the journal's
-/// report snapshots: the op's scope, its transfer progress, and the
+/// report snapshots: the op's spec, its transfer progress, and the
 /// buffered-packet events the controller has collected but not yet
-/// replayed. Like the journal, this lives on the controller struct — the
-/// crash model is a recovered process (the sim's model too), so struct
-/// fields are the durable store while in-flight messages and timers die.
+/// replayed. Written at admission — before the op's first journal
+/// record — and removed when the op reaches a terminal phase. Like the
+/// journal, this lives on the controller struct — the crash model is a
+/// recovered process (the sim's model too), so struct fields are the
+/// durable store while in-flight messages and timers die.
 /// Spooling events here as they arrive is what keeps a crash from
 /// silently losing a packet that was dropped at the source on the
 /// controller's own instruction.
 #[derive(Debug, Clone)]
 pub(crate) struct OpResidue {
-    pub(crate) src: usize,
-    pub(crate) dst: usize,
-    pub(crate) filter: Filter,
-    /// What kind of op left this residue — recovery's teardown differs:
-    /// only a move deletes the source copy on fail-forward, and a copy
-    /// has no event filter to settle.
-    pub(crate) kind: opennf_sched::OpClass,
+    /// The op as submitted: recovery rebuilds its task from this.
+    pub(crate) spec: OpSpec,
     /// Flows shipped toward (or confirmed at) the destination so far: the
     /// rollback's purge list there, the fail-forward's delete list at the
     /// source.
@@ -79,16 +77,8 @@ pub(crate) struct OpResidue {
 }
 
 impl OpResidue {
-    pub(crate) fn new(src: usize, dst: usize, filter: Filter, kind: opennf_sched::OpClass) -> Self {
-        OpResidue {
-            src,
-            dst,
-            filter,
-            kind,
-            put_flows: Vec::new(),
-            events: Vec::new(),
-            p2p_through: None,
-        }
+    pub(crate) fn new(spec: OpSpec) -> Self {
+        OpResidue { spec, put_flows: Vec::new(), events: Vec::new(), p2p_through: None }
     }
 
     /// The call that rolls the partial import back at the destination,
@@ -96,8 +86,8 @@ impl OpResidue {
     /// controller link, so a plain delete queued behind them covers them
     /// all; a P2P move's chunk batches travel worker → worker, so its
     /// rounds are tombstoned as well — a batch still in flight cannot
-    /// resurrect the deleted state. The engine's abort path and
-    /// [`RtController::recover`] both send exactly this, fenced.
+    /// resurrect the deleted state. The engine's abort path sends exactly
+    /// this, fenced — for a recovered op too.
     pub(crate) fn purge_call(&self) -> Option<WireCall> {
         let flow_ids = self.put_flows.clone();
         match self.p2p_through {
@@ -131,10 +121,10 @@ pub struct RtController {
     /// Router → worker links (what fault-aware generators send through).
     data_links: Vec<FaultyChannel>,
     pub(crate) reply_timeout: Duration,
-    /// Fencing epoch stamped on [`WireMsg::Fenced`] sends. The threaded
-    /// controller lives for the whole run (no restart), so it stays 0; the
-    /// simulator's controller bumps its epoch per recovery.
-    fence_epoch: u64,
+    /// Fencing epoch stamped on [`WireMsg::Fenced`] sends; each
+    /// [`RtController::recover`] bumps it, as the simulator's controller
+    /// does per recovery.
+    pub(crate) fence_epoch: u64,
     /// Mint for fence sequence numbers (unique per send within an epoch).
     fence_seq: u64,
     /// Packet uids the last aborted move could not replay (its explicit
@@ -149,19 +139,20 @@ pub struct RtController {
     c_frames_decoded: Arc<AtomicU64>,
     c_frames_encoded: Arc<AtomicU64>,
     pub(crate) c_events_pumped: Arc<AtomicU64>,
-    /// Write-ahead op journal: the same [`JournalPhase`] ledger the sim
-    /// controller keeps, appended at every op phase boundary so a
-    /// multi-op rt controller recovers exactly like the sim one.
-    journal: OpJournal,
+    /// Write-ahead op journal: the same [`JournalPhase`] ledger shape the
+    /// sim controller keeps, appended at every op phase boundary.
+    /// [`RtController::recover`] resumes each op from its last record
+    /// (the rt's own rule, not yet the sim's — see ROADMAP item 1).
+    pub(crate) journal: OpJournal,
     /// Mint for op ids.
     next_op: u64,
     /// Per-op recovery residue, keyed by raw op id.
     pub(crate) residue: HashMap<u64, OpResidue>,
     /// Test hook: "crash" the controller immediately after the next
     /// journal append of this phase (fires once).
-    crash_after: Option<JournalPhase>,
+    pub(crate) crash_after: Option<JournalPhase>,
     /// Set when the crash hook fired; cleared by [`RtController::recover`].
-    crashed: bool,
+    pub(crate) crashed: bool,
     /// The op scheduler: admission policy plus per-source export
     /// bandwidth accounting. FIFO with a bottomless bucket by default —
     /// byte-identical to the engine before the scheduler existed.
@@ -426,12 +417,12 @@ impl RtController {
 
     /// Synchronization barrier: returns once worker `i` has drained every
     /// message queued on its channel before this call (FIFO ordering), and
-    /// consumes the events those messages raised. Benchmarks use this to
-    /// keep preload processing out of a measured move window.
+    /// re-homes the events those messages raised
+    /// ([`RtController::home_event`]). Benchmarks use this to keep preload
+    /// processing out of a measured move window.
     pub fn quiesce(&mut self, worker: usize) -> Result<(), RtError> {
         let id = self.call(worker, WireCall::DelPerflow { flow_ids: Vec::new() })?;
-        let mut events = Vec::new();
-        Self::expect_done(self.await_reply(id, &mut events)?)
+        Self::expect_done(self.await_reply(id)?)
     }
 
     pub(crate) fn call(&mut self, worker: usize, call: WireCall) -> Result<u64, RtError> {
@@ -494,14 +485,11 @@ impl RtController {
         Ok(id)
     }
 
-    /// Waits for the response to `id`, buffering any events that arrive in
-    /// the meantime into `events`. An [`WireEvent::NfFailed`] report from
-    /// any worker aborts the wait — that reply is never coming.
-    fn await_reply(
-        &mut self,
-        id: u64,
-        events: &mut Vec<WireEvent>,
-    ) -> Result<WireReply, RtError> {
+    /// Waits for the response to `id`, re-homing any events that arrive in
+    /// the meantime ([`RtController::home_event`]). An
+    /// [`WireEvent::NfFailed`] report from any worker aborts the wait —
+    /// that reply is never coming.
+    fn await_reply(&mut self, id: u64) -> Result<WireReply, RtError> {
         loop {
             match self.recv_msg(self.reply_timeout) {
                 Recv::Timeout => return Err(RtError::Timeout { id }),
@@ -511,11 +499,30 @@ impl RtController {
                 Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
                     return Err(RtError::NfFailed { worker, reason });
                 }
-                Recv::Msg(WireMsg::Event { ev, .. }) => {
+                Recv::Msg(WireMsg::Event { worker, ev }) => {
                     self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                    events.push(ev);
+                    self.home_event(worker, ev);
                 }
                 Recv::Msg(_) => {}
+            }
+        }
+    }
+
+    /// Delivers an event no running op claims. If `worker` is the armed
+    /// source of a live op (one with a residue — e.g. crashed and not yet
+    /// recovered), the packet was dropped on that op's instruction and
+    /// spools into its residue for the op's replay; otherwise it goes
+    /// wherever the rule table points now.
+    pub(crate) fn home_event(&mut self, worker: usize, ev: WireEvent) {
+        let owner = self
+            .residue
+            .values_mut()
+            .find(|r| r.spec.src == worker && r.spec.kind != opennf_sched::OpClass::Copy);
+        if let Some(res) = owner {
+            res.events.push(ev);
+        } else if let WireEvent::PacketReceived { ref packet } = ev {
+            if let Some(w) = self.router.lookup(packet) {
+                let _ = self.replay_one(w, ev);
             }
         }
     }
@@ -670,146 +677,6 @@ impl RtController {
         self.crashed
     }
 
-    /// Recovery pass, mirroring the sim controller's restart path: bumps
-    /// the fencing epoch, then drives every journal-in-flight op to a
-    /// terminal phase in ascending op-id order. Ops at or past
-    /// [`JournalPhase::Transferred`] (every flow confirmed at the
-    /// destination) fail *forward*: the source copy is deleted under the
-    /// fence, buffered events replay to the destination, and the route
-    /// flips, ending in `Committed`. Earlier ops roll back: partial
-    /// imports are purged at the destination (P2P rounds are tombstoned),
-    /// buffered events replay to the source, and any replay failure is
-    /// accounted in `abort_lost`, ending in `Aborted`. Queued messages in
-    /// the worker → controller channel are *not* discarded — the channel
-    /// models a network that lost nothing in the crash; stale responses
-    /// are ignored by correlation id and straggler events are re-homed.
-    /// Returns each recovered op with its terminal phase.
-    pub fn recover(&mut self) -> Vec<(OpId, JournalPhase)> {
-        self.crashed = false;
-        self.crash_after = None;
-        self.last_abort_lost.clear();
-        self.fence_epoch += 1;
-        self.journal.epoch = self.fence_epoch;
-        let sp = self.tel.begin("recovery.rt");
-        let mut outcomes = Vec::new();
-        // Stragglers harvested while settling one op can belong to another
-        // in-flight op's source; bucket by worker and hand them over.
-        let mut stray: HashMap<usize, Vec<WireEvent>> = HashMap::new();
-        for (op, phase) in self.journal.in_flight() {
-            let Some(mut res) = self.residue.remove(&op.0) else { continue };
-            let mut report = self
-                .journal
-                .records
-                .iter()
-                .rev()
-                .find(|r| r.op == op)
-                .map(|r| r.report.clone())
-                .unwrap_or_else(|| OpReport::new(op, res.kind.name().into(), self.tel.now_ns()));
-            if let Some(evs) = stray.remove(&res.src) {
-                res.events.extend(evs);
-            }
-            let forward = phase >= JournalPhase::Transferred;
-            let mut sink: Vec<(usize, WireEvent)> = Vec::new();
-            if forward {
-                // The source may still hold its copy (crash before the
-                // delete acked): a fenced re-delete is harmless when the
-                // original already ran. Only a move releases the source —
-                // copies and shares are non-destructive, so fail-forward
-                // leaves the source untouched.
-                if res.kind == opennf_sched::OpClass::Move && !res.put_flows.is_empty() {
-                    if let Ok(id) = self.call_fenced(
-                        res.src,
-                        WireCall::DelPerflow { flow_ids: res.put_flows.clone() },
-                    ) {
-                        self.await_done_tagged(id, &mut sink);
-                    }
-                }
-            } else if let Some(purge) = res.purge_call() {
-                // Rollback: the partial import must not survive at the
-                // destination as shadow state.
-                if let Ok(id) = self.call_fenced(res.dst, purge) {
-                    self.await_done_tagged(id, &mut sink);
-                }
-            }
-            // A copy never armed an event filter, so there is nothing to
-            // settle at its source; moves and shares tear theirs down.
-            if res.kind != opennf_sched::OpClass::Copy {
-                sink.extend(self.settle_collect_tagged(res.src, res.filter));
-            }
-            for (w, ev) in sink {
-                if w == res.src {
-                    res.events.push(ev);
-                } else {
-                    stray.entry(w).or_default().push(ev);
-                }
-            }
-            // Buffered events follow the state for a move; a share's
-            // buffered updates always belong back at the source (the
-            // replica only gets the initial sync).
-            let replay_to = if forward && res.kind == opennf_sched::OpClass::Move {
-                res.dst
-            } else {
-                res.src
-            };
-            let (replayed, lost) =
-                self.replay_events_to(replay_to, std::mem::take(&mut res.events));
-            report.events_released += replayed;
-            self.last_abort_lost.extend(lost.iter().copied());
-            let terminal = if forward {
-                // Only a completed move redirects traffic.
-                if res.kind == opennf_sched::OpClass::Move {
-                    self.router.install(10, res.filter, res.dst);
-                }
-                report.end_ns = self.tel.now_ns();
-                JournalPhase::Committed
-            } else {
-                report.abort(format!("controller crash at {phase:?}: rolled back"), None);
-                report.abort_lost.extend(lost);
-                report.end_ns = self.tel.now_ns();
-                JournalPhase::Aborted
-            };
-            self.jlog(op, terminal, &report);
-            self.ew_release(op, res.src, res.dst, forward);
-            outcomes.push((op, terminal));
-        }
-        // Stragglers whose source had no in-flight op: route each packet
-        // wherever the table now points.
-        for evs in stray.into_values() {
-            for ev in evs {
-                if let WireEvent::PacketReceived { ref packet } = ev {
-                    if let Some(w) = self.router.lookup(packet) {
-                        let _ = self.replay_one(w, ev);
-                    }
-                }
-            }
-        }
-        self.tel.end(sp);
-        outcomes
-    }
-
-    /// Waits for the reply to `id`, collecting events with their raising
-    /// worker. Best-effort: timeouts, dead workers, and NF failures end
-    /// the wait — recovery carries on with what it has.
-    fn await_done_tagged(&mut self, id: u64, sink: &mut Vec<(usize, WireEvent)>) {
-        let deadline = Instant::now() + self.reply_timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            match self.recv_msg(left) {
-                Recv::Msg(WireMsg::Response { id: rid, .. }) if rid == id => return,
-                Recv::Msg(WireMsg::Event { ev: WireEvent::NfFailed { .. }, .. }) => return,
-                Recv::Msg(WireMsg::Event { worker, ev }) => {
-                    self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                    sink.push((worker, ev));
-                }
-                Recv::Msg(_) | Recv::Bad(_) => {}
-                Recv::Timeout | Recv::Disconnected => return,
-            }
-        }
-    }
-
     /// Executes a loss-free move of per-flow state matching `filter` from
     /// worker `src` to worker `dst` (§5.1.1), while traffic keeps flowing:
     ///
@@ -888,44 +755,6 @@ impl RtController {
         self.run_ops(vec![crate::engine::OpSpec::mv_p2p(src, dst, filter)])
             .pop()
             .expect("one spec in, one result out")
-    }
-
-    /// Tears the op's event filter down at `src` over the *management
-    /// channel* (the raw, unshimmed worker channel — standing in for the
-    /// reliable control connection the paper's controller keeps) and
-    /// collects the events the teardown flushes out, each with its raising
-    /// worker, without replaying them anywhere. The worker channel is
-    /// FIFO, so once the disable acks, no further events can be raised by
-    /// that filter. Recovery needs the tag: it tears several ops down in
-    /// sequence, and a straggler harvested during one op's teardown may
-    /// belong to another in-flight op's source.
-    fn settle_collect_tagged(
-        &mut self,
-        src: usize,
-        filter: Filter,
-    ) -> Vec<(usize, WireEvent)> {
-        let mut events = Vec::new();
-        // Fenced: settle can run after an abort already issued a disable
-        // for the same filter; the fence keeps a duplicated teardown from
-        // double-applying at the worker.
-        if let Ok(id) = self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
-            // Collect events until the ack (or the worker dies / times out).
-            let deadline = Instant::now() + self.reply_timeout;
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match self.recv_msg(left) {
-                    Recv::Msg(WireMsg::Response { id: rid, .. }) if rid == id => break,
-                    Recv::Msg(WireMsg::Event { ev: WireEvent::NfFailed { .. }, .. }) => break,
-                    Recv::Msg(WireMsg::Event { worker, ev }) => {
-                        self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                        events.push((worker, ev));
-                    }
-                    Recv::Msg(_) | Recv::Bad(_) => {}
-                    Recv::Timeout | Recv::Disconnected => break,
-                }
-            }
-        }
-        events
     }
 
     /// Ships every buffered event packet to local worker `replay_to` over
@@ -1182,7 +1011,6 @@ mod tests {
         // The controller is not poisoned: the surviving worker still
         // answers southbound calls.
         let id = ctrl.call(1, WireCall::GetAllflows).unwrap();
-        let mut events = Vec::new();
-        assert!(matches!(ctrl.await_reply(id, &mut events), Ok(WireReply::Chunks { .. })));
+        assert!(matches!(ctrl.await_reply(id), Ok(WireReply::Chunks { .. })));
     }
 }

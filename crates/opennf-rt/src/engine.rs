@@ -50,11 +50,15 @@
 //! the one spine both modes share.
 //!
 //! Every phase transition is journaled through the same
-//! [`JournalPhase`] ledger the simulator's controller keeps, so a
-//! controller crash between any two transitions recovers through
-//! [`RtController::recover`] exactly like the sim one: fail-forward once
-//! every chunk is confirmed at the destination, roll back before that,
-//! always with explicit loss accounting — for all three op kinds.
+//! [`JournalPhase`] ledger shape the simulator's controller keeps. A
+//! controller crash between any two transitions is recovered by resuming
+//! the engine ([`RtController::recover`]): every op that left a residue
+//! becomes an [`OpTask`] again at the continuation of its last journal
+//! record and runs through the same dispatch loop. The rt's rule, for all
+//! three op kinds: fail forward once every chunk is confirmed at the
+//! destination (`Transferred` and later), roll back before that, always
+//! with explicit loss accounting. The simulator's move fails forward only
+//! from `Flushed`, so the two rules still differ (ROADMAP item 1).
 //!
 //! Telemetry under interleaving: each op opens a root span named for its
 //! kind with *no* stack parent and parents its canonical phase spans
@@ -150,6 +154,16 @@ impl OpSpec {
     /// A share (replication setup) of `filter` from `src` to `dst`.
     pub fn share(src: usize, dst: usize, filter: Filter) -> Self {
         OpSpec { src, dst, filter, kind: OpClass::Share, p2p: false }
+    }
+
+    /// The op's name in its [`OpReport`].
+    fn label(&self) -> &'static str {
+        match self.kind {
+            OpClass::Move if self.p2p => "move[LF PL+P2P]",
+            OpClass::Move => "move[LF PL]",
+            OpClass::Copy => "copy",
+            OpClass::Share => "share",
+        }
     }
 }
 
@@ -322,6 +336,40 @@ struct OpTask {
 }
 
 impl OpTask {
+    /// A task that has not started: `Pending` until admission, or until
+    /// recovery resumes it.
+    fn new(spec: OpSpec, op: OpId, report: OpReport, seq: u64, now: Instant, now_ns: u64) -> Self {
+        OpTask {
+            spec,
+            op,
+            report,
+            st: St::Pending,
+            root: None,
+            phase: None,
+            submitted: now,
+            submitted_ns: now_ns,
+            seq,
+            start: now,
+            deadline: now,
+            wait_id: 0,
+            get_id: 0,
+            next_seq: 0,
+            export_done: false,
+            put_ids: HashSet::new(),
+            backlog: VecDeque::new(),
+            flow_ids: Vec::new(),
+            p2p: P2pRounds::default(),
+            chunks: 0,
+            bytes: 0,
+            replayed: 0,
+            flipped: false,
+            fwd_deadline: now,
+            last_event: now,
+            duration: Duration::ZERO,
+            err: None,
+        }
+    }
+
     /// Ops in these states own their source's event stream. Copies never
     /// arm events, so they never own one (see `route_event`).
     fn active(&self) -> bool {
@@ -373,47 +421,94 @@ impl RtController {
                 // inside the admission sweep, so a burst of submits is
                 // visible even before anything is admitted.
                 self.tel.gauge_set("engine.queue_depth", i as u64 + 1);
-                let kind_str = match spec.kind {
-                    OpClass::Move if spec.p2p => "move[LF PL+P2P]",
-                    OpClass::Move => "move[LF PL]",
-                    OpClass::Copy => "copy",
-                    OpClass::Share => "share",
-                };
-                OpTask {
-                    spec,
-                    op,
-                    report: OpReport::new(op, kind_str.into(), self.tel.now_ns()),
-                    st: St::Pending,
-                    root: None,
-                    phase: None,
-                    submitted: now,
-                    submitted_ns: now_ns,
-                    seq: i as u64,
-                    start: now,
-                    deadline: now,
-                    wait_id: 0,
-                    get_id: 0,
-                    next_seq: 0,
-                    export_done: false,
-                    put_ids: HashSet::new(),
-                    backlog: VecDeque::new(),
-                    flow_ids: Vec::new(),
-                    p2p: P2pRounds::default(),
-                    chunks: 0,
-                    bytes: 0,
-                    replayed: 0,
-                    flipped: false,
-                    fwd_deadline: now,
-                    last_event: now,
-                    duration: Duration::ZERO,
-                    err: None,
-                }
+                let report = OpReport::new(op, spec.label().into(), self.tel.now_ns());
+                OpTask::new(spec, op, report, i as u64, now, now_ns)
             })
             .collect();
-        let mut locks = Locks::default();
-        let mut by_req: HashMap<u64, usize> = HashMap::new();
-        let mut last_depth = u64::MAX;
+        self.drive(&mut tasks, &mut HashMap::new(), &mut Locks::default());
+        tasks
+            .into_iter()
+            .map(|t| match t.err {
+                Some(e) => Err(e),
+                None => Ok(MoveStats {
+                    chunks: t.chunks,
+                    bytes: t.bytes,
+                    events_replayed: t.replayed,
+                    duration: t.duration,
+                }),
+            })
+            .collect()
+    }
 
+    /// Recovery pass after a crash: bumps the fencing epoch, then resumes
+    /// every op that left a residue — admitted and not terminal, whether
+    /// or not it journaled — as an engine task at the continuation of its
+    /// last journal record, and drives them through the one dispatch
+    /// loop. Ops at or past [`JournalPhase::Transferred`] (every flow
+    /// confirmed at the destination) fail *forward* through the rest of
+    /// the spine: a move deletes at the source, flushes, flips the route,
+    /// drains stragglers and only then disarms the source; a copy commits;
+    /// a share disarms. Earlier ops take the abort path: fenced purge at
+    /// the destination (P2P rounds tombstoned), fenced disarm at the
+    /// source, buffered events replayed to the source with any loss in
+    /// `abort_lost`. Queued messages in the worker → controller channel
+    /// are *not* discarded — the channel models a network that lost
+    /// nothing in the crash; stale responses are ignored by correlation
+    /// id and events go to whichever op owns their worker. Returns each
+    /// recovered op with its terminal phase, in op-id order.
+    pub fn recover(&mut self) -> Vec<(OpId, JournalPhase)> {
+        self.crashed = false;
+        self.crash_after = None;
+        self.last_abort_lost.clear();
+        self.fence_epoch += 1;
+        self.journal.epoch = self.fence_epoch;
+        let sp = self.tel.begin("recovery.rt");
+        let (now, now_ns) = (Instant::now(), self.tel.now_ns());
+        let mut ids: Vec<u64> = self.residue.keys().copied().collect();
+        ids.sort_unstable();
+        let (mut tasks, mut by_req, mut locks) = (Vec::new(), HashMap::new(), Locks::default());
+        for (ti, id) in ids.into_iter().enumerate() {
+            let (op, spec) = (OpId(id), self.residue[&id].spec);
+            let last = self.journal.records.iter().rev().find(|r| r.op == op);
+            let durable = last.map(|r| r.phase);
+            let report = last.map_or_else(
+                || OpReport::new(op, spec.label().into(), now_ns),
+                |r| r.report.clone(),
+            );
+            let mut t = OpTask::new(spec, op, report, ti as u64, now, now_ns);
+            t.flow_ids = self.residue[&id].put_flows.clone();
+            t.root = Some(self.tel.begin_under(sp, spec.kind.name()));
+            locks.acquire(&spec);
+            match durable {
+                Some(p) if p >= JournalPhase::Transferred => match p {
+                    JournalPhase::Imported => self.flush(&mut t, ti, &mut by_req, &mut locks),
+                    JournalPhase::Flushed => self.flip(&mut t),
+                    _ => self.release(&mut t, ti, &mut by_req, &mut locks),
+                },
+                _ => self.fail_op(&mut t, ti, RtError::CtrlCrashed, &mut by_req, &mut locks),
+            }
+            tasks.push(t);
+        }
+        self.drive(&mut tasks, &mut by_req, &mut locks);
+        self.tel.end(sp);
+        let terminal = |t: &OpTask| match t.err {
+            Some(_) => JournalPhase::Aborted,
+            None => JournalPhase::Committed,
+        };
+        tasks.iter().map(|t| (t.op, terminal(t))).collect()
+    }
+
+    /// The dispatch loop: admits pending tasks as the scheduler picks
+    /// them, routes every reply and event to the task that owns it, and
+    /// fires time-driven transitions, until every task is `Done` or the
+    /// controller crashes.
+    fn drive(
+        &mut self,
+        tasks: &mut [OpTask],
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
+        let mut last_depth = u64::MAX;
         loop {
             // Data-plane activity is stamped when it is seen, so look often.
             self.observe_lookups();
@@ -453,7 +548,7 @@ impl RtController {
                     caps.entry(p.src).or_insert_with(|| self.sched.stream_cap(p.src, now_ns));
                 }
                 let picked = {
-                    let locks = &locks;
+                    let locks = &*locks;
                     let caps = &caps;
                     self.sched.pick(&pending, &mut |p| {
                         locks.admits(p, caps.get(&p.src).copied().unwrap_or(1))
@@ -483,8 +578,8 @@ impl RtController {
                         )),
                     );
                 }
-                if let Err(e) = self.start_op(&mut tasks[ti], ti, &mut by_req) {
-                    self.fail_op(&mut tasks[ti], ti, e, &mut by_req, &mut locks);
+                if let Err(e) = self.start_op(&mut tasks[ti], ti, by_req) {
+                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
                 }
             }
             // Queue-depth gauge: ops still waiting for a free endpoint
@@ -503,7 +598,7 @@ impl RtController {
                     // Unmapped ids are stale (a failed op's still-streaming
                     // batches, a pre-crash echo): ignored by correlation.
                     if let Some(&ti) = by_req.get(&id) {
-                        self.on_reply(&mut tasks[ti], ti, id, reply, &mut by_req, &mut locks);
+                        self.on_reply(&mut tasks[ti], ti, id, reply, by_req, locks);
                     }
                 }
                 Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
@@ -518,15 +613,15 @@ impl RtController {
                                 t,
                                 ti,
                                 RtError::NfFailed { worker, reason: reason.clone() },
-                                &mut by_req,
-                                &mut locks,
+                                by_req,
+                                locks,
                             );
                         }
                     }
                 }
                 Recv::Msg(WireMsg::Event { worker, ev }) => {
                     self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
-                    self.route_event(&mut tasks, worker, ev);
+                    self.route_event(tasks, worker, ev);
                 }
                 // An undecodable frame was counted and recorded where it
                 // was received; no op can claim it.
@@ -537,26 +632,13 @@ impl RtController {
                     for t in tasks.iter_mut() {
                         if t.st != St::Done {
                             t.err.get_or_insert(RtError::ChannelClosed);
-                            self.finalize_abort(t, &mut locks);
+                            self.finalize_abort(t, locks);
                         }
                     }
                 }
             }
-            self.tick(&mut tasks, &mut by_req, &mut locks);
+            self.tick(tasks, by_req, locks);
         }
-
-        tasks
-            .into_iter()
-            .map(|t| match t.err {
-                Some(e) => Err(e),
-                None => Ok(MoveStats {
-                    chunks: t.chunks,
-                    bytes: t.bytes,
-                    events_replayed: t.replayed,
-                    duration: t.duration,
-                }),
-            })
-            .collect()
     }
 
     /// Applies a state transition, recording it as a point event
@@ -584,10 +666,7 @@ impl RtController {
     ) -> Result<(), RtError> {
         t.start = Instant::now();
         t.report.start_ns = self.tel.now_ns();
-        self.residue.insert(
-            t.op.0,
-            OpResidue::new(t.spec.src, t.spec.dst, t.spec.filter, t.spec.kind),
-        );
+        self.residue.insert(t.op.0, OpResidue::new(t.spec));
         self.ew_handoff(t.op, t.spec.src, t.spec.dst);
         let root = self.tel.begin_linked_arg(
             0,
@@ -780,35 +859,9 @@ impl RtController {
                 if let Some(sp) = t.phase.take() {
                     self.tel.end(sp);
                 }
-                if self.jlog(t.op, JournalPhase::Imported, &t.report) {
-                    return;
+                if !self.jlog(t.op, JournalPhase::Imported, &t.report) {
+                    self.flush(t, ti, by_req, locks);
                 }
-                // Flush: replay everything buffered so far to the
-                // destination, then flip the route.
-                let root = t.root.expect("root span open");
-                let sp = self.tel.begin_under(root, "move.flush");
-                let events = self
-                    .residue
-                    .get_mut(&t.op.0)
-                    .map(|r| std::mem::take(&mut r.events))
-                    .unwrap_or_default();
-                match self.replay_now(t.spec.dst, events.into_iter()) {
-                    Ok(n) => t.replayed += n,
-                    Err(e) => {
-                        self.tel.end(sp);
-                        self.fail_op(t, ti, e, by_req, locks);
-                        return;
-                    }
-                }
-                self.tel.end(sp);
-                if self.jlog(t.op, JournalPhase::Flushed, &t.report) {
-                    return;
-                }
-                t.phase = Some(self.tel.begin_under(root, "move.fwd_update"));
-                t.last_event = self.flip_route(t.spec.filter, t.spec.dst);
-                t.flipped = true;
-                t.fwd_deadline = Instant::now() + FWD_DRAIN;
-                self.set_st(t, St::FwdWait);
             }
             St::Settling if id == t.wait_id => {
                 by_req.remove(&id);
@@ -961,9 +1014,21 @@ impl RtController {
         }
         t.report.chunks = t.chunks;
         t.report.bytes = t.bytes as u64;
-        if self.jlog(t.op, JournalPhase::Transferred, &t.report) {
-            return;
+        if !self.jlog(t.op, JournalPhase::Transferred, &t.report) {
+            self.release(t, ti, by_req, locks);
         }
+    }
+
+    /// The kind's release step once every flow is confirmed at the
+    /// destination (`Transferred`): a move deletes at the source, a copy
+    /// is done, a share disarms its sync filter.
+    fn release(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
         match t.spec.kind {
             OpClass::Move => {
                 let root = t.root.expect("root span open");
@@ -1005,15 +1070,49 @@ impl RtController {
         }
     }
 
-    /// Hands an event to the op that owns the raising worker, or routes
-    /// it onward when no op does (a straggler from an op that already
-    /// finished). Copies never arm events, so they never own a stream —
-    /// an event raised at a copy's source belongs to no one and routes
-    /// on.
-    fn route_event(&mut self, tasks: &mut [OpTask], worker: usize, ev: WireEvent) {
-        if self.is_crashed() {
-            return;
+    /// A move's source copy is released (`Imported`): replay everything
+    /// buffered so far to the destination, journal `Flushed`, flip.
+    fn flush(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
+        let sp = self.tel.begin_under(t.root.expect("root span open"), "move.flush");
+        let events = self
+            .residue
+            .get_mut(&t.op.0)
+            .map(|r| std::mem::take(&mut r.events))
+            .unwrap_or_default();
+        let replayed = self.replay_now(t.spec.dst, events.into_iter());
+        self.tel.end(sp);
+        match replayed {
+            Ok(n) => t.replayed += n,
+            Err(e) => return self.fail_op(t, ti, e, by_req, locks),
         }
+        if !self.jlog(t.op, JournalPhase::Flushed, &t.report) {
+            self.flip(t);
+        }
+    }
+
+    /// A move is flushed (`Flushed`): flip the route to the destination
+    /// and open the post-flip quiet window; the source stays armed until
+    /// the window closes.
+    fn flip(&mut self, t: &mut OpTask) {
+        t.phase = Some(self.tel.begin_under(t.root.expect("root span open"), "move.fwd_update"));
+        t.last_event = self.flip_route(t.spec.filter, t.spec.dst);
+        t.flipped = true;
+        t.fwd_deadline = Instant::now() + FWD_DRAIN;
+        self.set_st(t, St::FwdWait);
+    }
+
+    /// Hands an event to the op that owns the raising worker, or re-homes
+    /// it when no op does ([`RtController::home_event`]; a straggler from
+    /// an op that already finished). Copies never arm events, so they
+    /// never own a stream — an event raised at a copy's source belongs to
+    /// no one and routes on.
+    fn route_event(&mut self, tasks: &mut [OpTask], worker: usize, ev: WireEvent) {
         let now = Instant::now();
         if let Some(t) = tasks
             .iter_mut()
@@ -1046,12 +1145,7 @@ impl RtController {
             }
             return;
         }
-        // No owner: deliver wherever the rule table points now.
-        if let WireEvent::PacketReceived { ref packet } = ev {
-            if let Some(w) = self.router.lookup(packet) {
-                let _ = self.replay_one(w, ev);
-            }
-        }
+        self.home_event(worker, ev);
     }
 
     /// Time-driven transitions: straggler-drain windows closing and reply

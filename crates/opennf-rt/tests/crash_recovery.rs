@@ -9,10 +9,16 @@
 //! This mirrors `opennf-controller/tests/recovery.rs` (the simulator's
 //! restart path) under the rt crash model: the struct — and with it the
 //! journal and residue — survives, in-flight requests and timers die.
+//! Recovery resumes the op engine itself, so every recovered op must also
+//! look like an engine op: a journal that climbs through the phases to one
+//! terminal record, and engine state transitions that end in `Done`.
 
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-use opennf_controller::JournalPhase;
+use opennf_controller::{JournalPhase, OpId};
 use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
@@ -80,6 +86,41 @@ impl Topo {
     }
 }
 
+/// A recovered op is an engine op: its journal records climb strictly
+/// through the phases to exactly one terminal record (a move failing
+/// forward also journals `Imported` and `Flushed`), and after recovery
+/// starts the trace holds the engine's state transitions for it, the last
+/// one into `Done`.
+fn assert_resumed_by_engine(ctrl: &RtController, op: u64, move_forward: bool, case: &str) {
+    let phases: Vec<JournalPhase> =
+        ctrl.journal().records.iter().filter(|r| r.op == OpId(op)).map(|r| r.phase).collect();
+    assert!(phases.windows(2).all(|w| w[0] < w[1]), "{case}: journal phases climb: {phases:?}");
+    assert_eq!(
+        phases.iter().filter(|p| p.is_terminal()).count(),
+        1,
+        "{case}: exactly one terminal record: {phases:?}"
+    );
+    if move_forward {
+        assert!(
+            phases.contains(&JournalPhase::Imported) && phases.contains(&JournalPhase::Flushed),
+            "{case}: a move failing forward runs the rest of the spine: {phases:?}"
+        );
+    }
+    let recs = ctrl.telemetry().records();
+    let start = recs.iter().position(|r| r.name == "recovery.rt").expect("recovery span");
+    let prefix = format!("op={op} ");
+    let states: Vec<&str> = recs[start..]
+        .iter()
+        .filter(|r| r.name == "engine.op_state")
+        .filter_map(|r| r.arg.as_deref())
+        .filter(|a| a.starts_with(&prefix))
+        .collect();
+    assert!(
+        states.last().is_some_and(|s| s.ends_with("to=Done")),
+        "{case}: the engine drove op {op} to Done: {states:?}"
+    );
+}
+
 fn conn_counts(harnesses: Vec<EventedNf>) -> (usize, usize) {
     let count = |i: usize| {
         let any: &dyn std::any::Any = harnesses[i].nf();
@@ -143,6 +184,7 @@ fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, for
         assert_eq!(last.phase, expected, "{case}: journal ends terminal");
         assert!(ctrl.journal().in_flight().is_empty(), "{case}: nothing left in flight");
         assert!(!ctrl.is_crashed(), "{case}: recovery clears the crash flag");
+        assert_resumed_by_engine(ctrl, 1, forward, &case);
 
         let recs = ctrl.telemetry().records();
         let marks: Vec<_> = recs
@@ -230,6 +272,7 @@ fn copy_crash_at_each_boundary_recovers_nondestructively() {
         assert_eq!(outcomes.len(), 1, "{phase:?}: one op recovered");
         assert_eq!(outcomes[0].1, expected, "{phase:?}: terminal phase");
         assert!(!ctrl.is_crashed(), "{phase:?}: recovery clears the crash flag");
+        assert_resumed_by_engine(&ctrl, 1, false, &format!("copy {phase:?}"));
 
         // The controller survives: a fresh full copy completes.
         let stats = ctrl
@@ -273,6 +316,7 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
         assert_eq!(outcomes[0].1, expected, "{phase:?}: terminal phase");
         let last = ctrl.journal().records.last().expect("journal non-empty");
         assert_eq!(last.phase, expected, "{phase:?}: journal ends terminal");
+        assert_resumed_by_engine(&ctrl, 1, false, &format!("share {phase:?}"));
 
         // The event filter is torn down either way: a follow-up move
         // (which arms its own filter at the same source) runs clean.
@@ -291,8 +335,10 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
     }
 }
 
-/// A crash with two ops in flight: recovery settles *both* — each to the
-/// terminal its own journal prefix mandates — in op-id order.
+/// A crash with two ops in flight: recovery settles *both* in op-id
+/// order — including the one whose enable ack never landed, so it has a
+/// residue but no journal record. Both roll back, and both sources are
+/// disarmed: a probe matching each op's filter is processed there.
 #[test]
 fn crash_with_two_inflight_ops_recovers_both() {
     let mut ctrl = RtController::new(
@@ -301,44 +347,45 @@ fn crash_with_two_inflight_ops_recovers_both() {
     // Two disjoint flow populations, one per source worker.
     for f in 0..FLOWS {
         let tx0 = ctrl.worker_tx(0);
-        tx0.send(opennf_rt::WireMsg::Packet { packet: pkt(f as u64 + 1, f) }.to_json())
+        tx0.send(WireMsg::Packet { packet: pkt(f as u64 + 1, f) }.to_json())
             .expect("worker alive");
         let tx1 = ctrl.worker_tx(1);
-        tx1.send(
-            opennf_rt::WireMsg::Packet { packet: pkt(1_000 + f as u64, 256 + f) }.to_json(),
-        )
-        .expect("worker alive");
+        tx1.send(WireMsg::Packet { packet: pkt(1_000 + f as u64, 256 + f) }.to_json())
+            .expect("worker alive");
     }
     ctrl.quiesce(0).expect("worker alive");
     ctrl.quiesce(1).expect("worker alive");
 
     // The first Armed append kills the engine: both admitted ops die
-    // mid-flight (the second may not even have journaled yet).
+    // mid-flight, the second before it journaled anything.
     ctrl.crash_after(JournalPhase::Armed);
-    let specs = vec![
-        OpSpec::mv(
-            0,
-            2,
-            Filter::from_src(opennf_packet::Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 24)),
-        ),
-        OpSpec::mv(
-            1,
-            3,
-            Filter::from_src(opennf_packet::Ipv4Prefix::new(Ipv4Addr::new(10, 0, 1, 0), 24)),
-        ),
-    ];
-    let res = ctrl.run_ops(specs);
+    let prefix = |third: u8| {
+        Filter::from_src(opennf_packet::Ipv4Prefix::new(Ipv4Addr::new(10, 0, third, 0), 24))
+    };
+    let res = ctrl.run_ops(vec![OpSpec::mv(0, 2, prefix(0)), OpSpec::mv(1, 3, prefix(1))]);
     assert!(res.iter().all(|r| matches!(r, Err(RtError::CtrlCrashed))));
 
     let outcomes = ctrl.recover();
-    assert!(!outcomes.is_empty(), "at least the journaled op recovers");
-    assert!(
-        outcomes.iter().all(|(_, t)| t.is_terminal()),
-        "every recovered op reaches a terminal phase: {outcomes:?}"
+    assert_eq!(
+        outcomes,
+        [(OpId(1), JournalPhase::Aborted), (OpId(2), JournalPhase::Aborted)],
+        "both admitted ops roll back, journaled or not"
     );
-    // Whatever mix of commit/rollback recovery chose, no flow state may
-    // be lost or duplicated across the four instances.
+    assert!(ctrl.journal().in_flight().is_empty(), "nothing left in flight");
+
+    // Each probe matches its op's filter (10.0.0.200, 10.0.1.200).
+    let probes = [(0, 9_000, 200), (1, 9_001, 256 + 200)];
+    for (w, uid, flow) in probes {
+        ctrl.worker_tx(w)
+            .send(WireMsg::Packet { packet: pkt(uid, flow) }.to_json())
+            .expect("worker alive");
+        ctrl.quiesce(w).expect("worker alive");
+    }
     let harnesses = ctrl.shutdown();
+    for (w, uid, _) in probes {
+        assert!(harnesses[w].processed_log().contains(&uid), "source {w} is disarmed");
+    }
+    // No flow state lost or duplicated across the four instances.
     let total: usize = harnesses
         .iter()
         .map(|h| {
@@ -346,5 +393,98 @@ fn crash_with_two_inflight_ops_recovers_both() {
             any.downcast_ref::<AssetMonitor>().unwrap().conn_count()
         })
         .sum();
-    assert_eq!(total, 2 * FLOWS as usize, "flow state conserved across recovery");
+    assert_eq!(total, 2 * FLOWS as usize + 2, "flow state conserved across recovery");
+}
+
+/// Failing forward must keep the engine's order — flip the route, drain
+/// stragglers, only then disarm the source — while traffic keeps flowing:
+/// a packet of a new flow that reaches an unarmed source before the flip
+/// would leave state there. A generator routes new-flow packets through
+/// the rule table every ~20 µs while `recover()` runs; afterwards the
+/// source holds no state and every generated packet was processed exactly
+/// once across the two workers.
+#[test]
+fn fail_forward_under_live_traffic_leaves_the_source_empty() {
+    const GEN_BASE: u64 = 100_000;
+    let phases = [JournalPhase::Transferred, JournalPhase::Imported, JournalPhase::Flushed];
+    for (mode, mv) in [("relayed", OpSpec::mv as Mv), ("p2p", OpSpec::mv_p2p)] {
+        for phase in phases {
+            let case = format!("{mode} {phase:?}");
+            let mut ctrl = loaded_controller();
+            ctrl.crash_after(phase);
+            let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
+            assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{case}: {:?}", res[0]);
+
+            let stop = Arc::new(AtomicBool::new(false));
+            let gen = {
+                let (stop, router) = (stop.clone(), ctrl.router.clone());
+                let txs = [ctrl.data_tx(0), ctrl.data_tx(1)];
+                std::thread::spawn(move || {
+                    let mut sent = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let p = pkt(GEN_BASE + sent, FLOWS + sent as u32);
+                        if let Some(w) = router.route(&p) {
+                            txs[w].send(&WireMsg::Packet { packet: p }).expect("worker alive");
+                        }
+                        sent += 1;
+                        std::thread::sleep(Duration::from_micros(20));
+                    }
+                    sent
+                })
+            };
+            let outcomes = ctrl.recover();
+            stop.store(true, Ordering::Relaxed);
+            let sent = gen.join().unwrap();
+            assert_eq!(outcomes, [(OpId(1), JournalPhase::Committed)], "{case}: fails forward");
+
+            ctrl.quiesce(0).expect("worker alive");
+            ctrl.quiesce(1).expect("worker alive");
+            let harnesses = ctrl.shutdown();
+            let mut seen: Vec<u64> = harnesses
+                .iter()
+                .flat_map(|h| h.processed_log().iter().copied())
+                .filter(|&uid| uid >= GEN_BASE)
+                .collect();
+            seen.sort_unstable();
+            let want: Vec<u64> = (GEN_BASE..GEN_BASE + sent).collect();
+            assert!(seen == want, "{case}: {} of {sent} generated packets processed", seen.len());
+            assert_eq!(conn_counts(harnesses).0, 0, "{case}: the source holds no state");
+        }
+    }
+}
+
+/// A packet the armed source drops between the crash and `recover()`
+/// raises an event. A `quiesce` that sees the event must hand it to the
+/// crashed op's residue, so recovery replays it: to the source on
+/// rollback, to the destination on fail-forward — processed exactly once,
+/// nothing in `abort_lost`.
+#[test]
+fn events_seen_by_quiesce_after_a_crash_are_replayed() {
+    const PROBE: u64 = 7_777;
+    let phases = [
+        (JournalPhase::Armed, false),
+        (JournalPhase::ExportDone, false),
+        (JournalPhase::Transferred, true),
+    ];
+    for (phase, forward) in phases {
+        let mut ctrl = loaded_controller();
+        ctrl.crash_after(phase);
+        let res = ctrl.run_ops(vec![OpSpec::mv(0, 1, Filter::any())]);
+        assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{phase:?}: {:?}", res[0]);
+        ctrl.worker_tx(0)
+            .send(WireMsg::Packet { packet: pkt(PROBE, 0) }.to_json())
+            .expect("worker alive");
+        ctrl.quiesce(0).expect("worker alive");
+
+        let outcomes = ctrl.recover();
+        let expected = if forward { JournalPhase::Committed } else { JournalPhase::Aborted };
+        assert_eq!(outcomes, [(OpId(1), expected)], "{phase:?}: terminal phase");
+        assert!(ctrl.abort_lost().is_empty(), "{phase:?}: nothing given up");
+        ctrl.quiesce(0).expect("worker alive");
+        ctrl.quiesce(1).expect("worker alive");
+        let harnesses = ctrl.shutdown();
+        let at = |w: usize| harnesses[w].processed_log().iter().filter(|&&u| u == PROBE).count();
+        let want = if forward { (0, 1) } else { (1, 0) };
+        assert_eq!((at(0), at(1)), want, "{phase:?}: the probe is processed exactly once");
+    }
 }
