@@ -163,8 +163,8 @@ pub struct RtController {
 pub(crate) enum Recv {
     /// The next message (possibly popped out of a coalesced frame).
     Msg(WireMsg),
-    /// An undecodable channel payload (the wire-error text).
-    Bad(String),
+    /// An undecodable channel payload, already counted and recorded.
+    Bad,
     /// Nothing arrived within the timeout.
     Timeout,
     /// Every sender is gone.
@@ -338,10 +338,9 @@ impl RtController {
                     Err(e) => {
                         // Visible in the flight recorder, not just to the
                         // one caller that happens to be receiving.
-                        let e = e.to_string();
                         self.tel.counter("rt.frames.bad").fetch_add(1, Ordering::Relaxed);
-                        self.tel.event("wire.bad_frame", Some(e.clone()));
-                        return Recv::Bad(e);
+                        self.tel.event("wire.bad_frame", Some(e.to_string()));
+                        return Recv::Bad;
                     }
                 },
                 Err(RecvTimeoutError::Timeout) => return Recv::Timeout,
@@ -415,14 +414,16 @@ impl RtController {
         self.to_ctrl.clone()
     }
 
-    /// Synchronization barrier: returns once worker `i` has drained every
-    /// message queued on its channel before this call (FIFO ordering), and
-    /// re-homes the events those messages raised
-    /// ([`RtController::home_event`]). Benchmarks use this to keep preload
-    /// processing out of a measured move window.
+    /// Synchronization barrier: returns once worker `worker` has drained
+    /// every message queued on its channel before this call (FIFO
+    /// ordering), and re-homes the events those messages raised
+    /// ([`RtController::home_event`]). Fails only because of `worker`:
+    /// another worker's failure or an undecodable frame does not end the
+    /// wait. Benchmarks use this to keep preload processing out of a
+    /// measured move window.
     pub fn quiesce(&mut self, worker: usize) -> Result<(), RtError> {
         let id = self.call(worker, WireCall::DelPerflow { flow_ids: Vec::new() })?;
-        Self::expect_done(self.await_reply(id)?)
+        Self::expect_done(self.await_reply(worker, id)?)
     }
 
     pub(crate) fn call(&mut self, worker: usize, call: WireCall) -> Result<u64, RtError> {
@@ -485,25 +486,28 @@ impl RtController {
         Ok(id)
     }
 
-    /// Waits for the response to `id`, re-homing any events that arrive in
-    /// the meantime ([`RtController::home_event`]). An
-    /// [`WireEvent::NfFailed`] report from any worker aborts the wait —
-    /// that reply is never coming.
-    fn await_reply(&mut self, id: u64) -> Result<WireReply, RtError> {
+    /// Waits for worker `worker`'s response to `id`, re-homing any events
+    /// that arrive in the meantime ([`RtController::home_event`]). Only
+    /// `worker`'s own [`WireEvent::NfFailed`] report aborts the wait —
+    /// that reply is never coming; another worker's failure, like an
+    /// undecodable frame ([`RtController::recv_msg`] counted and recorded
+    /// it), is not this wait's to report.
+    fn await_reply(&mut self, worker: usize, id: u64) -> Result<WireReply, RtError> {
         loop {
             match self.recv_msg(self.reply_timeout) {
                 Recv::Timeout => return Err(RtError::Timeout { id }),
                 Recv::Disconnected => return Err(RtError::ChannelClosed),
-                Recv::Bad(e) => return Err(RtError::Wire(e)),
                 Recv::Msg(WireMsg::Response { id: rid, reply }) if rid == id => return Ok(reply),
-                Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
-                    return Err(RtError::NfFailed { worker, reason });
+                Recv::Msg(WireMsg::Event { worker: w, ev: WireEvent::NfFailed { reason } }) => {
+                    if w == worker {
+                        return Err(RtError::NfFailed { worker, reason });
+                    }
                 }
                 Recv::Msg(WireMsg::Event { worker, ev }) => {
                     self.c_events_pumped.fetch_add(1, Ordering::Relaxed);
                     self.home_event(worker, ev);
                 }
-                Recv::Msg(_) => {}
+                Recv::Msg(_) | Recv::Bad => {}
             }
         }
     }
@@ -1011,6 +1015,53 @@ mod tests {
         // The controller is not poisoned: the surviving worker still
         // answers southbound calls.
         let id = ctrl.call(1, WireCall::GetAllflows).unwrap();
-        assert!(matches!(ctrl.await_reply(id), Ok(WireReply::Chunks { .. })));
+        assert!(matches!(ctrl.await_reply(1, id), Ok(WireReply::Chunks { .. })));
+    }
+
+    #[test]
+    fn engine_timeout_names_the_unanswered_request() {
+        // Worker 0's uplink is cut, so the copy's export stream — its
+        // first request — is the one that never answers.
+        let plan = FaultPlan::new(1).sever(
+            worker_node(0),
+            CTRL_NODE,
+            opennf_util::Time::ZERO,
+            opennf_util::Time(u64::MAX),
+        );
+        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
+            vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
+            plan,
+            Telemetry::wall(),
+        );
+        let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(100));
+        let stream_id = ctrl.next_id;
+        let res = ctrl.copy_flows(0, 1, Filter::any());
+        assert_eq!(res.unwrap_err(), RtError::Timeout { id: stream_id });
+        ctrl.shutdown();
+        faults.join_pump();
+    }
+
+    #[test]
+    fn quiesce_ignores_an_undecodable_frame() {
+        let mut ctrl = RtController::new(vec![Box::new(AssetMonitor::new())]);
+        ctrl.ctrl_tx().send("not a frame".into()).unwrap();
+        ctrl.quiesce(0).expect("a frame no one can claim does not fail the barrier");
+        assert_eq!(ctrl.tel.counter("rt.frames.bad").load(Ordering::Relaxed), 1);
+        ctrl.shutdown();
+    }
+
+    #[test]
+    fn quiesce_fails_only_for_its_own_worker() {
+        let mut ctrl =
+            RtController::new(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(1))]);
+        ctrl.worker_tx(1).send(WireMsg::Packet { packet: pkt(1, 0) }.to_json()).unwrap();
+        // Worker 1 reports its failure and exits, closing its channel:
+        // its report is queued for the controller before worker 0 is asked.
+        while ctrl.call(1, WireCall::GetAllflows).is_ok() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ctrl.quiesce(0).expect("worker 1's failure is not worker 0's");
+        let id = ctrl.call(0, WireCall::GetAllflows).unwrap();
+        assert!(matches!(ctrl.await_reply(0, id), Ok(WireReply::Chunks { .. })));
     }
 }

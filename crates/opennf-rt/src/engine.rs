@@ -8,6 +8,18 @@
 //! neighbours keep streaming, so aggregate throughput scales with the
 //! number of disjoint src/dst pairs.
 //!
+//! A task owns its outstanding requests: it holds their correlation ids
+//! (the one awaited reply, the export stream or P2P round, the puts in
+//! flight), and the loop hands each response to the task holding its id,
+//! found by scanning the in-flight tasks. Consuming a reply clears its
+//! id, so a response no task holds — a duplicate of one already consumed,
+//! a failed op's still-streaming batches, a pre-crash echo — is stale and
+//! dropped before it is looked at: it can neither advance an op nor fail
+//! it. Commit and abort end the same way: the source is disarmed
+//! (`Settling`), then one `finalize` replays the teardown flush to the
+//! destination iff the route flipped and journals `Committed`, or
+//! `Aborted` if the op failed.
+//!
 //! Three op kinds are first-class ([`opennf_sched::OpClass`]):
 //!
 //! * **move** — the loss-free move (§5.1.1): exclusive on both endpoints,
@@ -248,15 +260,16 @@ enum St {
     /// the source (move's copy-then-delete release).
     Deleting,
     /// Route flipped; draining straggler events raised by packets that
-    /// were already queued toward the source (move only).
+    /// were already queued toward the source (move only). Awaits no
+    /// reply: `deadline` is the quiet window's ceiling.
     FwdWait,
-    /// Fenced `disableEvents` in flight; collecting the teardown flush.
-    Settling,
     /// Abort: fenced purge of already-shipped flows in flight at the
     /// destination ([`OpResidue::purge_call`]).
     AbortPurge,
-    /// Abort: fenced `disableEvents` in flight at the source.
-    AbortSettling,
+    /// The source's disarm — fenced `disableEvents` — in flight;
+    /// collecting the teardown flush. Every armed op, committing or
+    /// aborting, ends here.
+    Settling,
     /// Terminal (result recorded).
     Done,
 }
@@ -283,7 +296,9 @@ struct P2pRounds {
 }
 
 /// One in-flight op: everything the dispatch loop needs to route a
-/// reply or event back to the right op and advance it.
+/// reply or event back to the right op and advance it. The task holds
+/// the ids of its outstanding requests; a reply is live exactly while
+/// some task holds its id ([`OpTask::owns`]).
 struct OpTask {
     spec: OpSpec,
     op: OpId,
@@ -303,14 +318,17 @@ struct OpTask {
     /// Submission index: the total order admission ties break on.
     seq: u64,
     start: Instant,
-    /// Watchdog for the outstanding request(s); reset on every ack/batch.
+    /// Watchdog for the outstanding request(s), reset on every ack or
+    /// batch; in `FwdWait`, the ceiling of the post-flip quiet window
+    /// ([`flip_settled`]).
     deadline: Instant,
-    /// Correlation id awaited in WaitEnable/Deleting/Settling/Abort*.
-    wait_id: u64,
+    /// The single-reply request awaited in WaitEnable, Deleting,
+    /// AbortPurge or Settling.
+    wait_id: Option<u64>,
     /// The streamed export's correlation id (all its batches share it);
     /// in P2P mode the current transfer round's (both ends answer under
     /// it).
-    get_id: u64,
+    get_id: Option<u64>,
     /// Next expected batch seq — a gap means the channel lost a batch.
     next_seq: u64,
     /// The `last` batch has arrived.
@@ -326,10 +344,8 @@ struct OpTask {
     bytes: usize,
     replayed: usize,
     flipped: bool,
-    /// Ceiling of the post-flip quiet window ([`flip_settled`]).
-    fwd_deadline: Instant,
-    /// What that window counts from: the op's latest event, or at the
-    /// flip the data plane's last observed lookup.
+    /// What the post-flip quiet window counts from: the op's latest
+    /// event, or at the flip the data plane's last observed lookup.
     last_event: Instant,
     duration: Duration,
     err: Option<RtError>,
@@ -351,8 +367,8 @@ impl OpTask {
             seq,
             start: now,
             deadline: now,
-            wait_id: 0,
-            get_id: 0,
+            wait_id: None,
+            get_id: None,
             next_seq: 0,
             export_done: false,
             put_ids: HashSet::new(),
@@ -363,11 +379,15 @@ impl OpTask {
             bytes: 0,
             replayed: 0,
             flipped: false,
-            fwd_deadline: now,
             last_event: now,
             duration: Duration::ZERO,
             err: None,
         }
+    }
+
+    /// Whether `id` answers one of this task's outstanding requests.
+    fn owns(&self, id: u64) -> bool {
+        self.wait_id == Some(id) || self.get_id == Some(id) || self.put_ids.contains(&id)
     }
 
     /// Ops in these states own their source's event stream. Copies never
@@ -425,7 +445,7 @@ impl RtController {
                 OpTask::new(spec, op, report, i as u64, now, now_ns)
             })
             .collect();
-        self.drive(&mut tasks, &mut HashMap::new(), &mut Locks::default());
+        self.drive(&mut tasks, &mut Locks::default());
         tasks
             .into_iter()
             .map(|t| match t.err {
@@ -453,9 +473,10 @@ impl RtController {
     /// source, buffered events replayed to the source with any loss in
     /// `abort_lost`. Queued messages in the worker → controller channel
     /// are *not* discarded — the channel models a network that lost
-    /// nothing in the crash; stale responses are ignored by correlation
-    /// id and events go to whichever op owns their worker. Returns each
-    /// recovered op with its terminal phase, in op-id order.
+    /// nothing in the crash; a pre-crash response answers no resumed
+    /// task's request and is ignored, and events go to whichever op owns
+    /// their worker. Returns each recovered op with its terminal phase,
+    /// in op-id order.
     pub fn recover(&mut self) -> Vec<(OpId, JournalPhase)> {
         self.crashed = false;
         self.crash_after = None;
@@ -466,8 +487,8 @@ impl RtController {
         let (now, now_ns) = (Instant::now(), self.tel.now_ns());
         let mut ids: Vec<u64> = self.residue.keys().copied().collect();
         ids.sort_unstable();
-        let (mut tasks, mut by_req, mut locks) = (Vec::new(), HashMap::new(), Locks::default());
-        for (ti, id) in ids.into_iter().enumerate() {
+        let (mut tasks, mut locks) = (Vec::new(), Locks::default());
+        for (seq, id) in ids.into_iter().enumerate() {
             let (op, spec) = (OpId(id), self.residue[&id].spec);
             let last = self.journal.records.iter().rev().find(|r| r.op == op);
             let durable = last.map(|r| r.phase);
@@ -475,21 +496,21 @@ impl RtController {
                 || OpReport::new(op, spec.label().into(), now_ns),
                 |r| r.report.clone(),
             );
-            let mut t = OpTask::new(spec, op, report, ti as u64, now, now_ns);
+            let mut t = OpTask::new(spec, op, report, seq as u64, now, now_ns);
             t.flow_ids = self.residue[&id].put_flows.clone();
             t.root = Some(self.tel.begin_under(sp, spec.kind.name()));
             locks.acquire(&spec);
             match durable {
                 Some(p) if p >= JournalPhase::Transferred => match p {
-                    JournalPhase::Imported => self.flush(&mut t, ti, &mut by_req, &mut locks),
+                    JournalPhase::Imported => self.flush(&mut t, &mut locks),
                     JournalPhase::Flushed => self.flip(&mut t),
-                    _ => self.release(&mut t, ti, &mut by_req, &mut locks),
+                    _ => self.release(&mut t, &mut locks),
                 },
-                _ => self.fail_op(&mut t, ti, RtError::CtrlCrashed, &mut by_req, &mut locks),
+                _ => self.fail_op(&mut t, RtError::CtrlCrashed, &mut locks),
             }
             tasks.push(t);
         }
-        self.drive(&mut tasks, &mut by_req, &mut locks);
+        self.drive(&mut tasks, &mut locks);
         self.tel.end(sp);
         let terminal = |t: &OpTask| match t.err {
             Some(_) => JournalPhase::Aborted,
@@ -499,15 +520,11 @@ impl RtController {
     }
 
     /// The dispatch loop: admits pending tasks as the scheduler picks
-    /// them, routes every reply and event to the task that owns it, and
-    /// fires time-driven transitions, until every task is `Done` or the
+    /// them, hands every reply to the task that holds its request id and
+    /// every event to the task that owns its worker, and fires
+    /// time-driven transitions, until every task is `Done` or the
     /// controller crashes.
-    fn drive(
-        &mut self,
-        tasks: &mut [OpTask],
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    fn drive(&mut self, tasks: &mut [OpTask], locks: &mut Locks) {
         let mut last_depth = u64::MAX;
         loop {
             // Data-plane activity is stamped when it is seen, so look often.
@@ -555,12 +572,12 @@ impl RtController {
                     })
                 };
                 let Some(pi) = picked else { break };
-                let ti = idxs[pi];
+                let t = &mut tasks[idxs[pi]];
                 let p = pending[pi];
-                locks.acquire(&tasks[ti].spec);
+                locks.acquire(&t.spec);
                 self.sched.on_admitted(&p);
                 if self.tel.enabled() {
-                    let wait = tasks[ti].submitted.elapsed().as_nanos() as u64;
+                    let wait = t.submitted.elapsed().as_nanos() as u64;
                     let depth = pending.len() as u64 - 1;
                     self.tel.observe(&format!("engine.admission_wait.w{}", p.src), wait);
                     self.tel.event(
@@ -578,8 +595,8 @@ impl RtController {
                         )),
                     );
                 }
-                if let Err(e) = self.start_op(&mut tasks[ti], ti, by_req) {
-                    self.fail_op(&mut tasks[ti], ti, e, by_req, locks);
+                if let Err(e) = self.start_op(t) {
+                    self.fail_op(t, e, locks);
                 }
             }
             // Queue-depth gauge: ops still waiting for a free endpoint
@@ -595,27 +612,22 @@ impl RtController {
             }
             match self.recv_msg(POLL) {
                 Recv::Msg(WireMsg::Response { id, reply }) => {
-                    // Unmapped ids are stale (a failed op's still-streaming
-                    // batches, a pre-crash echo): ignored by correlation.
-                    if let Some(&ti) = by_req.get(&id) {
-                        self.on_reply(&mut tasks[ti], ti, id, reply, by_req, locks);
+                    // A reply no task holds the id of is stale — a
+                    // duplicate of one already consumed, a failed op's
+                    // still-streaming batches, a pre-crash echo — and is
+                    // ignored.
+                    if let Some(t) = tasks.iter_mut().find(|t| t.owns(id)) {
+                        self.on_reply(t, id, reply, locks);
                     }
                 }
                 Recv::Msg(WireMsg::Event { worker, ev: WireEvent::NfFailed { reason } }) => {
                     // The NF is gone: every admitted op touching it dies.
                     // Pending ops fail naturally at admission (their first
                     // send returns WorkerGone).
-                    for (ti, t) in tasks.iter_mut().enumerate() {
-                        let hit =
-                            t.active() && (t.spec.src == worker || t.spec.dst == worker);
-                        if hit {
-                            self.fail_op(
-                                t,
-                                ti,
-                                RtError::NfFailed { worker, reason: reason.clone() },
-                                by_req,
-                                locks,
-                            );
+                    for t in tasks.iter_mut() {
+                        if t.active() && (t.spec.src == worker || t.spec.dst == worker) {
+                            let e = RtError::NfFailed { worker, reason: reason.clone() };
+                            self.fail_op(t, e, locks);
                         }
                     }
                 }
@@ -625,19 +637,19 @@ impl RtController {
                 }
                 // An undecodable frame was counted and recorded where it
                 // was received; no op can claim it.
-                Recv::Msg(_) | Recv::Bad(_) | Recv::Timeout => {}
+                Recv::Msg(_) | Recv::Bad | Recv::Timeout => {}
                 Recv::Disconnected => {
                     // Every worker is gone: nothing left to send teardown
                     // to — finalize all survivors as aborted.
                     for t in tasks.iter_mut() {
                         if t.st != St::Done {
                             t.err.get_or_insert(RtError::ChannelClosed);
-                            self.finalize_abort(t, locks);
+                            self.finalize(t, locks);
                         }
                     }
                 }
             }
-            self.tick(tasks, by_req, locks);
+            self.tick(tasks, locks);
         }
     }
 
@@ -654,16 +666,18 @@ impl RtController {
         t.st = st;
     }
 
+    /// Enters `st` awaiting the single reply to request `id`.
+    fn wait_for(&self, t: &mut OpTask, id: u64, st: St) {
+        t.wait_id = Some(id);
+        t.deadline = Instant::now() + self.reply_timeout;
+        self.set_st(t, st);
+    }
+
     /// Admits one op: opens its root span and takes the kind's first
     /// step. Moves and shares arm the drop filter at the source (Armed
     /// lands on the enable ack); copies never arm events, so they journal
     /// Armed immediately and go straight to streaming.
-    fn start_op(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-    ) -> Result<(), RtError> {
+    fn start_op(&mut self, t: &mut OpTask) -> Result<(), RtError> {
         t.start = Instant::now();
         t.report.start_ns = self.tel.now_ns();
         self.residue.insert(t.op.0, OpResidue::new(t.spec));
@@ -684,17 +698,14 @@ impl RtController {
                     WireCall::EnableEvents { filter: t.spec.filter, action: WireAction::Drop },
                     sp.raw(),
                 )?;
-                t.wait_id = id;
-                by_req.insert(id, ti);
-                t.deadline = Instant::now() + self.reply_timeout;
-                self.set_st(t, St::WaitEnable);
+                self.wait_for(t, id, St::WaitEnable);
             }
             OpClass::Copy => {
                 if self.jlog(t.op, JournalPhase::Armed, &t.report) {
                     return Ok(());
                 }
                 t.phase = Some(self.tel.begin_under(root, "copy.export"));
-                self.stream_export(t, ti, by_req)?;
+                self.stream_export(t)?;
                 self.set_st(t, St::Streaming);
             }
         }
@@ -704,43 +715,42 @@ impl RtController {
     /// Asks the source for its streamed export, linked to the open phase
     /// span: batches flow back under one id while the puts pipeline them
     /// into the destination.
-    fn stream_export(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-    ) -> Result<(), RtError> {
+    fn stream_export(&mut self, t: &mut OpTask) -> Result<(), RtError> {
         let id = self.call_linked(
             t.spec.src,
             WireCall::GetPerflowChunked { filter: t.spec.filter, batch: STREAM_BATCH },
             t.phase.expect("stream span open").raw(),
         )?;
-        t.get_id = id;
-        by_req.insert(id, ti);
+        t.get_id = Some(id);
         t.deadline = Instant::now() + self.reply_timeout;
         Ok(())
     }
 
-    /// Advances op `ti` on a correlated reply.
-    fn on_reply(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        id: u64,
-        reply: WireReply,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    /// Advances `t` on a reply to request `id`, which `t` holds (the
+    /// dispatch loop checked, so liveness is decided before an error
+    /// reply can fail the op). Consuming a reply clears its id — a
+    /// stream's at its last batch — so a second copy finds no owner.
+    fn on_reply(&mut self, t: &mut OpTask, id: u64, reply: WireReply, locks: &mut Locks) {
         if self.is_crashed() {
             return;
         }
         if let WireReply::Error { message } = reply {
-            self.fail_op(t, ti, RtError::Wire(message), by_req, locks);
-            return;
+            return self.fail_op(t, RtError::Wire(message), locks);
         }
+        if t.put_ids.remove(&id) {
+            t.deadline = Instant::now() + self.reply_timeout;
+            return self.pump_and_finish(t, locks);
+        }
+        if t.get_id == Some(id) {
+            return if t.spec.p2p {
+                self.on_round_reply(t, reply, locks)
+            } else {
+                self.on_batch(t, id, reply, locks)
+            };
+        }
+        t.wait_id = None;
         match t.st {
-            St::WaitEnable if id == t.wait_id => {
-                by_req.remove(&id);
+            St::WaitEnable => {
                 if self.jlog(t.op, JournalPhase::Armed, &t.report) {
                     return;
                 }
@@ -760,123 +770,115 @@ impl RtController {
                     t.phase = Some(self.tel.begin_under(root, name));
                 }
                 let started = if t.spec.p2p {
-                    self.p2p_round(t, ti, by_req, Vec::new())
+                    self.p2p_round(t, Vec::new())
                 } else {
-                    self.stream_export(t, ti, by_req)
+                    self.stream_export(t)
                 };
                 match started {
                     Ok(()) => self.set_st(t, St::Streaming),
-                    Err(e) => self.fail_op(t, ti, e, by_req, locks),
+                    Err(e) => self.fail_op(t, e, locks),
                 }
             }
-            St::Streaming if id == t.get_id && t.spec.p2p => {
-                match reply {
-                    WireReply::TransferExported { flow_ids, bytes } => {
-                        t.p2p.exported = true;
-                        t.bytes += bytes as usize;
-                        self.on_export_bytes(t.spec.src, bytes);
-                        let new: Vec<FlowId> =
-                            flow_ids.into_iter().filter(|f| t.p2p.listed.insert(*f)).collect();
-                        if let Some(res) = self.residue.get_mut(&t.op.0) {
-                            res.put_flows.extend(&new);
-                        }
-                        t.flow_ids.extend(new);
-                    }
-                    WireReply::TransferDone { imported } => {
-                        t.p2p.done = true;
-                        t.p2p.confirmed.extend(imported);
-                    }
-                    WireReply::TransferProgress { flow_ids, .. } => {
-                        t.p2p.confirmed.extend(flow_ids);
-                    }
-                    _ => {}
-                }
-                if t.p2p.exported && t.p2p.done {
-                    self.p2p_reconcile(t, ti, by_req, locks);
-                }
-            }
-            St::Streaming if id == t.get_id => {
-                let WireReply::ChunkBatch { seq, last, chunks } = reply else {
-                    let e = RtError::Wire(format!("unexpected stream reply for {id}"));
-                    self.fail_op(t, ti, e, by_req, locks);
-                    return;
-                };
-                // The channel is FIFO, so a seq gap means a batch was
-                // dropped on the wire: the export is no longer known to be
-                // complete — abort rather than move a silent subset.
-                if seq != t.next_seq {
-                    let e = RtError::Wire(format!(
-                        "chunk batch gap at src {}: got seq {seq}, expected {}",
-                        t.spec.src, t.next_seq
-                    ));
-                    self.fail_op(t, ti, e, by_req, locks);
-                    return;
-                }
-                t.next_seq += 1;
-                t.deadline = Instant::now() + self.reply_timeout;
-                let batch_bytes = chunks.iter().map(|c| c.len()).sum::<usize>();
-                t.chunks += chunks.len();
-                t.bytes += batch_bytes;
-                self.on_export_bytes(t.spec.src, batch_bytes as u64);
-                t.flow_ids.extend(chunks.iter().map(|c| c.flow_id));
-                if let Some(res) = self.residue.get_mut(&t.op.0) {
-                    res.put_flows.extend(chunks.iter().map(|c| c.flow_id));
-                }
-                if !chunks.is_empty() {
-                    t.backlog.push_back(chunks);
-                }
-                if last {
-                    by_req.remove(&id);
-                    t.export_done = true;
-                    // share.init_sync spans the whole stream + put
-                    // pipeline; it stays open until the sync settles.
-                    let next_phase = match t.spec.kind {
-                        OpClass::Move => Some("move.transfer"),
-                        OpClass::Copy => Some("copy.import"),
-                        OpClass::Share => None,
-                    };
-                    if let Some(name) = next_phase {
-                        if let Some(sp) = t.phase.take() {
-                            self.tel.end(sp);
-                        }
-                        let root = t.root.expect("root span open");
-                        t.phase = Some(self.tel.begin_under(root, name));
-                    }
-                    if self.jlog(t.op, JournalPhase::ExportDone, &t.report) {
-                        return;
-                    }
-                }
-                self.pump_and_finish(t, ti, by_req, locks);
-            }
-            St::Streaming if t.put_ids.contains(&id) => {
-                t.put_ids.remove(&id);
-                by_req.remove(&id);
-                t.deadline = Instant::now() + self.reply_timeout;
-                self.pump_and_finish(t, ti, by_req, locks);
-            }
-            St::Deleting if id == t.wait_id => {
-                by_req.remove(&id);
+            St::Deleting => {
                 if let Some(sp) = t.phase.take() {
                     self.tel.end(sp);
                 }
                 if !self.jlog(t.op, JournalPhase::Imported, &t.report) {
-                    self.flush(t, ti, by_req, locks);
+                    self.flush(t, locks);
                 }
             }
-            St::Settling if id == t.wait_id => {
-                by_req.remove(&id);
-                self.finalize_commit(t, locks);
+            St::AbortPurge => self.disarm(t, locks),
+            St::Settling => self.finalize(t, locks),
+            _ => {}
+        }
+    }
+
+    /// One reply of the current P2P round: the source's export summary,
+    /// the destination's, or a batch receipt. Once both summaries are in,
+    /// the round reconciles.
+    fn on_round_reply(&mut self, t: &mut OpTask, reply: WireReply, locks: &mut Locks) {
+        match reply {
+            // A second summary for the round is a duplicate.
+            WireReply::TransferExported { flow_ids, bytes } if !t.p2p.exported => {
+                t.p2p.exported = true;
+                t.bytes += bytes as usize;
+                self.on_export_bytes(t.spec.src, bytes);
+                let new: Vec<FlowId> =
+                    flow_ids.into_iter().filter(|f| t.p2p.listed.insert(*f)).collect();
+                if let Some(res) = self.residue.get_mut(&t.op.0) {
+                    res.put_flows.extend(&new);
+                }
+                t.flow_ids.extend(new);
             }
-            St::AbortPurge if id == t.wait_id => {
-                by_req.remove(&id);
-                self.abort_settle(t, ti, by_req, locks);
+            WireReply::TransferDone { imported } => {
+                t.p2p.done = true;
+                t.p2p.confirmed.extend(imported);
             }
-            St::AbortSettling if id == t.wait_id => {
-                by_req.remove(&id);
-                self.finalize_abort(t, locks);
+            WireReply::TransferProgress { flow_ids, .. } => {
+                t.p2p.confirmed.extend(flow_ids);
             }
             _ => {}
         }
+        if t.p2p.exported && t.p2p.done {
+            self.p2p_reconcile(t, locks);
+        }
+    }
+
+    /// One batch of a relayed export stream. The channel is FIFO, so a
+    /// seq behind the expected one repeats a batch already taken and is
+    /// ignored, while one ahead of it means a batch was dropped on the
+    /// wire: the export is no longer known to be complete — abort rather
+    /// than move a silent subset.
+    fn on_batch(&mut self, t: &mut OpTask, id: u64, reply: WireReply, locks: &mut Locks) {
+        let WireReply::ChunkBatch { seq, last, chunks } = reply else {
+            let e = RtError::Wire(format!("unexpected stream reply for {id}"));
+            return self.fail_op(t, e, locks);
+        };
+        if seq < t.next_seq {
+            return;
+        }
+        if seq > t.next_seq {
+            let e = RtError::Wire(format!(
+                "chunk batch gap at src {}: got seq {seq}, expected {}",
+                t.spec.src, t.next_seq
+            ));
+            return self.fail_op(t, e, locks);
+        }
+        t.next_seq += 1;
+        t.deadline = Instant::now() + self.reply_timeout;
+        let batch_bytes = chunks.iter().map(|c| c.len()).sum::<usize>();
+        t.chunks += chunks.len();
+        t.bytes += batch_bytes;
+        self.on_export_bytes(t.spec.src, batch_bytes as u64);
+        t.flow_ids.extend(chunks.iter().map(|c| c.flow_id));
+        if let Some(res) = self.residue.get_mut(&t.op.0) {
+            res.put_flows.extend(chunks.iter().map(|c| c.flow_id));
+        }
+        if !chunks.is_empty() {
+            t.backlog.push_back(chunks);
+        }
+        if last {
+            t.get_id = None;
+            t.export_done = true;
+            // share.init_sync spans the whole stream + put pipeline; it
+            // stays open until the sync settles.
+            let next_phase = match t.spec.kind {
+                OpClass::Move => Some("move.transfer"),
+                OpClass::Copy => Some("copy.import"),
+                OpClass::Share => None,
+            };
+            if let Some(name) = next_phase {
+                if let Some(sp) = t.phase.take() {
+                    self.tel.end(sp);
+                }
+                let root = t.root.expect("root span open");
+                t.phase = Some(self.tel.begin_under(root, name));
+            }
+            if self.jlog(t.op, JournalPhase::ExportDone, &t.report) {
+                return;
+            }
+        }
+        self.pump_and_finish(t, locks);
     }
 
     /// Feeds the bandwidth accountant with bytes a source just exported:
@@ -896,20 +898,13 @@ impl RtController {
     /// destination; both ends answer under the round's correlation id.
     /// The round's deadline runs from here and is not extended by
     /// receipts — when it passes, whatever was confirmed is reconciled.
-    fn p2p_round(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        only: Vec<FlowId>,
-    ) -> Result<(), RtError> {
+    fn p2p_round(&mut self, t: &mut OpTask, only: Vec<FlowId>) -> Result<(), RtError> {
         let id = self.call_linked(
             t.spec.src,
             WireCall::TransferPerflow { filter: t.spec.filter, peer: t.spec.dst, only },
             t.phase.expect("transfer span open").raw(),
         )?;
-        t.get_id = id;
-        by_req.insert(id, ti);
+        t.get_id = Some(id);
         t.p2p.round += 1;
         t.p2p.exported = false;
         t.p2p.done = false;
@@ -926,14 +921,8 @@ impl RtController {
     /// against what the destination confirmed: done, one narrower round
     /// for the gap (a dropped batch costs a round, not the move), or out
     /// of attempts.
-    fn p2p_reconcile(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
-        by_req.remove(&t.get_id);
+    fn p2p_reconcile(&mut self, t: &mut OpTask, locks: &mut Locks) {
+        let xfer = t.get_id.take().unwrap_or_default();
         let gap: Vec<FlowId> =
             t.flow_ids.iter().filter(|f| !t.p2p.confirmed.contains(f)).copied().collect();
         // Complete only when this round's *both* summaries landed and
@@ -944,55 +933,48 @@ impl RtController {
             t.export_done = true;
             t.chunks = t.flow_ids.len();
             if !self.jlog(t.op, JournalPhase::ExportDone, &t.report) {
-                self.finish_transfer(t, ti, by_req, locks);
+                self.finish_transfer(t, locks);
             }
             return;
         }
-        self.tel.event("move.p2p_round", Some(format!("xfer={} missing={}", t.get_id, gap.len())));
+        self.tel.event("move.p2p_round", Some(format!("xfer={xfer} missing={}", gap.len())));
         if t.p2p.round == P2P_ATTEMPTS {
             let e = RtError::Wire(format!(
                 "P2P transfer incomplete after {P2P_ATTEMPTS} attempts ({} flows unconfirmed)",
                 gap.len()
             ));
             t.report.p2p_inflight = gap;
-            self.fail_op(t, ti, e, by_req, locks);
+            self.fail_op(t, e, locks);
             return;
         }
         self.tel.counter("rt.p2p.retry_rounds").fetch_add(1, Ordering::Relaxed);
         self.tel.counter("rt.p2p.refetch_flows").fetch_add(gap.len() as u64, Ordering::Relaxed);
         t.report.retries += 1;
-        if let Err(e) = self.p2p_round(t, ti, by_req, gap) {
-            self.fail_op(t, ti, e, by_req, locks);
+        if let Err(e) = self.p2p_round(t, gap) {
+            self.fail_op(t, e, locks);
         }
     }
 
     /// Issues queued put batches up to the backpressure window the
     /// scheduler currently allows for this op's source, then — once the
     /// last batch and every put ack are in — ends the transfer phase.
-    fn pump_and_finish(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    fn pump_and_finish(&mut self, t: &mut OpTask, locks: &mut Locks) {
         let window = self.sched.put_window(t.spec.src, self.tel.now_ns());
         while t.put_ids.len() < window {
             let Some(chunks) = t.backlog.pop_front() else { break };
             match self.call(t.spec.dst, WireCall::PutPerflow { chunks }) {
                 Ok(id) => {
                     t.put_ids.insert(id);
-                    by_req.insert(id, ti);
                     t.deadline = Instant::now() + self.reply_timeout;
                 }
                 Err(e) => {
-                    self.fail_op(t, ti, e, by_req, locks);
+                    self.fail_op(t, e, locks);
                     return;
                 }
             }
         }
         if t.export_done && t.put_ids.is_empty() && t.backlog.is_empty() {
-            self.finish_transfer(t, ti, by_req, locks);
+            self.finish_transfer(t, locks);
         }
     }
 
@@ -1002,83 +984,39 @@ impl RtController {
     /// point, so any earlier abort rolls back without loss); a copy is
     /// simply done; a share tears its sync filter down and replays the
     /// buffered updates back to the source.
-    fn finish_transfer(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    fn finish_transfer(&mut self, t: &mut OpTask, locks: &mut Locks) {
         if let Some(sp) = t.phase.take() {
             self.tel.end(sp);
         }
         t.report.chunks = t.chunks;
         t.report.bytes = t.bytes as u64;
         if !self.jlog(t.op, JournalPhase::Transferred, &t.report) {
-            self.release(t, ti, by_req, locks);
+            self.release(t, locks);
         }
     }
 
     /// The kind's release step once every flow is confirmed at the
-    /// destination (`Transferred`): a move deletes at the source, a copy
-    /// is done, a share disarms its sync filter.
-    fn release(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
-        match t.spec.kind {
-            OpClass::Move => {
-                let root = t.root.expect("root span open");
-                t.phase = Some(self.tel.begin_under(root, "move.import"));
-                // An empty delete still round-trips: it doubles as the
-                // barrier proving the source processed everything up to
-                // here.
-                match self.call(t.spec.src, WireCall::DelPerflow { flow_ids: t.flow_ids.clone() })
-                {
-                    Ok(id) => {
-                        t.wait_id = id;
-                        by_req.insert(id, ti);
-                        t.deadline = Instant::now() + self.reply_timeout;
-                        self.set_st(t, St::Deleting);
-                    }
-                    Err(e) => self.fail_op(t, ti, e, by_req, locks),
-                }
-            }
-            OpClass::Copy => {
-                // Non-destructive and never armed: the clone is complete
-                // the moment every put acked.
-                self.finalize_commit(t, locks);
-            }
-            OpClass::Share => {
-                // The replica is seeded; tear the sync filter down. The
-                // updates it buffered replay to the *source* at the ack,
-                // so nothing raised during the sync is lost.
-                let (src, filter) = (t.spec.src, t.spec.filter);
-                match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
-                    Ok(id) => {
-                        t.wait_id = id;
-                        by_req.insert(id, ti);
-                        t.deadline = Instant::now() + self.reply_timeout;
-                        self.set_st(t, St::Settling);
-                    }
-                    Err(_) => self.finalize_commit(t, locks),
-                }
-            }
+    /// destination (`Transferred`): a move deletes at the source; a copy
+    /// or share goes straight to the disarm, which a copy — never armed —
+    /// passes through, and which replays a share's buffered updates to
+    /// the *source*, so nothing raised during the sync is lost.
+    fn release(&mut self, t: &mut OpTask, locks: &mut Locks) {
+        if t.spec.kind != OpClass::Move {
+            return self.disarm(t, locks);
+        }
+        let root = t.root.expect("root span open");
+        t.phase = Some(self.tel.begin_under(root, "move.import"));
+        // An empty delete still round-trips: it doubles as the barrier
+        // proving the source processed everything up to here.
+        match self.call(t.spec.src, WireCall::DelPerflow { flow_ids: t.flow_ids.clone() }) {
+            Ok(id) => self.wait_for(t, id, St::Deleting),
+            Err(e) => self.fail_op(t, e, locks),
         }
     }
 
     /// A move's source copy is released (`Imported`): replay everything
     /// buffered so far to the destination, journal `Flushed`, flip.
-    fn flush(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    fn flush(&mut self, t: &mut OpTask, locks: &mut Locks) {
         let sp = self.tel.begin_under(t.root.expect("root span open"), "move.flush");
         let events = self
             .residue
@@ -1089,7 +1027,7 @@ impl RtController {
         self.tel.end(sp);
         match replayed {
             Ok(n) => t.replayed += n,
-            Err(e) => return self.fail_op(t, ti, e, by_req, locks),
+            Err(e) => return self.fail_op(t, e, locks),
         }
         if !self.jlog(t.op, JournalPhase::Flushed, &t.report) {
             self.flip(t);
@@ -1103,7 +1041,7 @@ impl RtController {
         t.phase = Some(self.tel.begin_under(t.root.expect("root span open"), "move.fwd_update"));
         t.last_event = self.flip_route(t.spec.filter, t.spec.dst);
         t.flipped = true;
-        t.fwd_deadline = Instant::now() + FWD_DRAIN;
+        t.deadline = Instant::now() + FWD_DRAIN;
         self.set_st(t, St::FwdWait);
     }
 
@@ -1150,108 +1088,51 @@ impl RtController {
 
     /// Time-driven transitions: straggler-drain windows closing and reply
     /// watchdogs firing.
-    fn tick(
-        &mut self,
-        tasks: &mut [OpTask],
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    fn tick(&mut self, tasks: &mut [OpTask], locks: &mut Locks) {
         if self.is_crashed() {
             return;
         }
         let now = Instant::now();
-        for (ti, t) in tasks.iter_mut().enumerate() {
+        for t in tasks.iter_mut() {
             match t.st {
-                St::FwdWait if flip_settled(now, t.last_event, t.fwd_deadline) => {
+                St::FwdWait if flip_settled(now, t.last_event, t.deadline) => {
                     if let Some(sp) = t.phase.take() {
                         self.tel.end(sp);
                     }
-                    // Converge: tear the event filter down over the
-                    // management channel; whatever the teardown
-                    // flushes out replays at the ack.
-                    let (src, filter) = (t.spec.src, t.spec.filter);
-                    match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
-                        Ok(id) => {
-                            t.wait_id = id;
-                            by_req.insert(id, ti);
-                            t.deadline = now + self.reply_timeout;
-                            self.set_st(t, St::Settling);
-                        }
-                        // The source is gone, so its filter (and any
-                        // still-buffered events) died with it; the
-                        // destination already holds the state.
-                        Err(_) => self.finalize_commit(t, locks),
-                    }
+                    self.disarm(t, locks);
                 }
                 // A P2P round that ran out of time is an outcome to
                 // reconcile, not an op failure.
                 St::Streaming if t.spec.p2p && now >= t.deadline => {
-                    self.p2p_reconcile(t, ti, by_req, locks);
+                    self.p2p_reconcile(t, locks);
                 }
                 St::WaitEnable | St::Streaming | St::Deleting if now >= t.deadline => {
-                    let id = t.wait_id;
-                    self.fail_op(t, ti, RtError::Timeout { id }, by_req, locks);
+                    // Name the unanswered request: the awaited reply, else
+                    // the export stream, else the oldest put.
+                    let put = t.put_ids.iter().min().copied();
+                    let id = t.wait_id.or(t.get_id).or(put).unwrap_or_default();
+                    self.fail_op(t, RtError::Timeout { id }, locks);
                 }
                 // Best-effort teardown: a worker that won't ack its purge
                 // or disable doesn't pin the op forever.
-                St::Settling if now >= t.deadline => {
-                    by_req.remove(&t.wait_id);
-                    self.finalize_commit(t, locks);
-                }
                 St::AbortPurge if now >= t.deadline => {
-                    by_req.remove(&t.wait_id);
-                    self.abort_settle(t, ti, by_req, locks);
+                    t.wait_id = None;
+                    self.disarm(t, locks);
                 }
-                St::AbortSettling if now >= t.deadline => {
-                    by_req.remove(&t.wait_id);
-                    self.finalize_abort(t, locks);
+                St::Settling if now >= t.deadline => {
+                    t.wait_id = None;
+                    self.finalize(t, locks);
                 }
                 _ => {}
             }
         }
     }
 
-    /// Completes an op: replays the teardown flush (to the destination
-    /// for a move, back to the source for a share — a copy has none),
-    /// journals `Committed`, releases the endpoints.
-    fn finalize_commit(&mut self, t: &mut OpTask, locks: &mut Locks) {
-        let events = self
-            .residue
-            .remove(&t.op.0)
-            .map(|r| r.events)
-            .unwrap_or_default();
-        let replay_to = match t.spec.kind {
-            OpClass::Move => t.spec.dst,
-            OpClass::Copy | OpClass::Share => t.spec.src,
-        };
-        let (replayed, lost) = self.replay_events_to(replay_to, events);
-        t.replayed += replayed;
-        t.report.abort_lost.extend(lost.iter().copied());
-        self.last_abort_lost.extend(lost);
-        t.report.events_released = t.replayed;
-        t.report.end_ns = self.tel.now_ns();
-        self.jlog(t.op, JournalPhase::Committed, &t.report);
-        self.ew_release(t.op, t.spec.src, t.spec.dst, true);
-        if let Some(root) = t.root.take() {
-            self.tel.end(root);
-        }
-        t.duration = t.start.elapsed();
-        self.set_st(t, St::Done);
-        locks.release(&t.spec);
-        let done = t.pending();
-        self.sched.on_completed(&done);
-    }
-
-    /// Starts tearing a failed op down. Pre-flip failures first purge the
-    /// partial import at the destination ([`OpResidue::purge_call`]).
-    fn fail_op(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        e: RtError,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    /// Starts tearing a failed op down: drops every outstanding request
+    /// (a late reply to one is stale from here on) and, before the flip,
+    /// first purges the partial import at the destination
+    /// ([`OpResidue::purge_call`]).
+    fn fail_op(&mut self, t: &mut OpTask, e: RtError, locks: &mut Locks) {
         let abort_ev = match t.spec.kind {
             OpClass::Move => "move.abort",
             OpClass::Copy => "copy.abort",
@@ -1261,57 +1142,42 @@ impl RtController {
         if let Some(sp) = t.phase.take() {
             self.tel.end(sp);
         }
-        by_req.remove(&t.wait_id);
-        by_req.remove(&t.get_id);
-        for id in t.put_ids.drain() {
-            by_req.remove(&id);
-        }
+        t.wait_id = None;
+        t.get_id = None;
+        t.put_ids.clear();
         t.backlog.clear();
         t.err = Some(e);
         let purge =
             self.residue.get(&t.op.0).and_then(OpResidue::purge_call).filter(|_| !t.flipped);
         if let Some(purge) = purge {
             if let Ok(id) = self.call_fenced(t.spec.dst, purge) {
-                t.wait_id = id;
-                by_req.insert(id, ti);
-                t.deadline = Instant::now() + self.reply_timeout;
-                self.set_st(t, St::AbortPurge);
-                return;
+                return self.wait_for(t, id, St::AbortPurge);
             }
         }
-        self.abort_settle(t, ti, by_req, locks);
+        self.disarm(t, locks);
     }
 
-    /// Abort teardown, step 2: restore a quiescent source (no stale
-    /// filter) and collect whatever the teardown flushes out. A copy
-    /// never armed a filter, so it skips straight to the finalize.
-    fn abort_settle(
-        &mut self,
-        t: &mut OpTask,
-        ti: usize,
-        by_req: &mut HashMap<u64, usize>,
-        locks: &mut Locks,
-    ) {
+    /// Restores a quiescent source — fenced `disableEvents` over the
+    /// management channel; whatever the teardown flushes out replays at
+    /// the ack — on commit and abort alike. A copy never armed a filter,
+    /// and a source that is gone took its filter (and any still-buffered
+    /// events) with it: both finalize at once.
+    fn disarm(&mut self, t: &mut OpTask, locks: &mut Locks) {
         if t.spec.kind == OpClass::Copy {
-            self.finalize_abort(t, locks);
-            return;
+            return self.finalize(t, locks);
         }
         let (src, filter) = (t.spec.src, t.spec.filter);
         match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
-            Ok(id) => {
-                t.wait_id = id;
-                by_req.insert(id, ti);
-                t.deadline = Instant::now() + self.reply_timeout;
-                self.set_st(t, St::AbortSettling);
-            }
-            Err(_) => self.finalize_abort(t, locks),
+            Ok(id) => self.wait_for(t, id, St::Settling),
+            Err(_) => self.finalize(t, locks),
         }
     }
 
-    /// Abort teardown, step 3: replay buffered events back to wherever
-    /// the route points, account every packet that could not be
-    /// delivered, journal `Aborted`, release the endpoints.
-    fn finalize_abort(&mut self, t: &mut OpTask, locks: &mut Locks) {
+    /// Ends an op: replays the teardown flush to wherever the route
+    /// points (the destination iff the route flipped), accounts every
+    /// packet that could not be delivered, journals `Committed` — or
+    /// `Aborted` when the op failed — and releases the endpoints.
+    fn finalize(&mut self, t: &mut OpTask, locks: &mut Locks) {
         let events = self
             .residue
             .remove(&t.op.0)
@@ -1320,14 +1186,17 @@ impl RtController {
         let replay_to = if t.flipped { t.spec.dst } else { t.spec.src };
         let (replayed, lost) = self.replay_events_to(replay_to, events);
         t.replayed += replayed;
-        let reason = t.err.as_ref().map(|e| e.to_string()).unwrap_or_else(|| "aborted".into());
-        t.report.abort(reason, None);
+        if let Some(e) = &t.err {
+            t.report.abort(e.to_string(), None);
+        }
         t.report.abort_lost.extend(lost.iter().copied());
         self.last_abort_lost.extend(lost);
         t.report.events_released = t.replayed;
         t.report.end_ns = self.tel.now_ns();
-        self.jlog(t.op, JournalPhase::Aborted, &t.report);
-        self.ew_release(t.op, t.spec.src, t.spec.dst, false);
+        let committed = t.err.is_none();
+        let phase = if committed { JournalPhase::Committed } else { JournalPhase::Aborted };
+        self.jlog(t.op, phase, &t.report);
+        self.ew_release(t.op, t.spec.src, t.spec.dst, committed);
         if let Some(root) = t.root.take() {
             self.tel.end(root);
         }

@@ -59,11 +59,13 @@ fn parse_args() -> Args {
     args
 }
 
-fn run_case(seed: u64, mask: u32) -> Result<(), Box<DiffReport>> {
+/// Runs one spec; on a pass, whether each side's move committed
+/// (`(sim, rt)`).
+fn run_case(seed: u64, mask: u32) -> Result<(bool, bool), Box<DiffReport>> {
     let spec = Spec::from_seed(seed, mask);
     let r = differential(&spec);
     if r.ok {
-        Ok(())
+        Ok((r.sim.move_completed, r.rt.move_completed))
     } else {
         Err(Box::new(r))
     }
@@ -148,11 +150,13 @@ fn main() {
         None => (args.start..args.start + args.seeds).collect(),
     };
     let total = seeds.len();
-    let mut passed = 0usize;
+    let (mut passed, mut sim_committed, mut rt_committed) = (0usize, 0usize, 0usize);
     for (i, seed) in seeds.into_iter().enumerate() {
         match run_case(seed, args.mask) {
-            Ok(()) => {
+            Ok((sim, rt)) => {
                 passed += 1;
+                sim_committed += usize::from(sim);
+                rt_committed += usize::from(rt);
                 if (i + 1) % 10 == 0 || i + 1 == total {
                     println!("[{}/{}] ok through seed {}", i + 1, total, seed);
                 }
@@ -185,5 +189,10 @@ fn main() {
             }
         }
     }
-    println!("soak clean: {passed}/{total} specs passed (mask 0x{:x})", args.mask);
+    // A lane where one runtime aborts what the other commits shows here.
+    println!(
+        "soak clean: {passed}/{total} specs passed (mask 0x{:x}); moves committed: \
+         sim {sim_committed}/{total}, rt {rt_committed}/{total}",
+        args.mask
+    );
 }
