@@ -36,7 +36,7 @@ use opennf_packet::Filter;
 use opennf_rt::{OpSpec, RtController, RtFaults, ShardedRt, WireMsg};
 use opennf_telemetry::Telemetry;
 use opennf_trace::{steady_flows, TimedPacket};
-use opennf_util::{Dur, FaultKind, FaultPlan, Md5, NodeId, SimRng, Time};
+use opennf_util::{Dur, FaultEvent, FaultKind, FaultPlan, Md5, NodeId, SimRng, Time};
 
 /// Mask bit: drop packets on the router → source-worker link.
 pub const M_DROP_DATA: u32 = 1 << 0;
@@ -279,6 +279,9 @@ pub struct SideReport {
     /// Canonical injected-fault summary (per-kind counts + sorted uids);
     /// rerun-stable within a runtime, not comparable across runtimes.
     pub fault_canonical: String,
+    /// Every injected fault, in injection order (the rt shim's ledger, the
+    /// sim's fault record): which link each one hit.
+    pub fault_log: Vec<FaultEvent>,
     /// MD5 over the final per-flow state of every instance.
     pub digest: String,
     /// Whether the move completed (vs aborted).
@@ -444,6 +447,7 @@ pub fn run_sim(spec: &Spec) -> SideReport {
         .map(|r| !r.outcome.is_aborted())
         .unwrap_or(false);
     let fault_canonical = sim_fault_canonical(&s);
+    let fault_log = s.engine.fault().map(|f| f.log.clone()).unwrap_or_default();
     let digest = sim_digest(&mut s);
     // Every shard's journal (a single controller is one shard).
     let journal_json = (0..s.ctrls.len())
@@ -458,6 +462,7 @@ pub fn run_sim(spec: &Spec) -> SideReport {
         detail,
         processed,
         fault_canonical,
+        fault_log,
         digest,
         move_completed,
         move_spans: tel.span_sequence("move."),
@@ -588,6 +593,7 @@ pub fn run_rt(spec: &Spec) -> SideReport {
         detail,
         processed,
         fault_canonical: format!("{:?}", ledger.canonical()),
+        fault_log: ledger.log,
         digest: digest_chunks(chunks),
         move_completed,
         move_spans: tel.span_sequence("move."),

@@ -1,6 +1,13 @@
 //! The threaded controller: executes loss-free moves over the JSON wire
 //! protocol while traffic keeps flowing from generator threads.
 //!
+//! Every controller → worker message leaves through one of two functions:
+//! [`RtController::send`] for southbound calls and
+//! [`RtController::replay`] for buffered packets. Every call is fenced
+//! ([`WireMsg::Request`]): it carries the request floor, so a worker
+//! applies it at most once and never after its op has ended, whatever the
+//! network does to it.
+//!
 //! Every southbound exchange is failure-aware: sends to dead workers,
 //! missing replies, malformed wire messages, and NF panics all surface as
 //! [`RtError`] instead of panicking the controller thread. A worker that
@@ -71,14 +78,18 @@ pub(crate) struct OpResidue {
     pub(crate) put_flows: Vec<FlowId>,
     /// Buffered-packet events collected but not yet replayed.
     pub(crate) events: Vec<WireEvent>,
+    /// The op's first request id — reset to the next id by recovery, which
+    /// abandons every earlier request. The oldest live op's is the request
+    /// floor ([`RtController::floor`]).
+    pub(crate) first_id: u64,
     /// P2P moves: the latest transfer round's correlation id (see
     /// [`OpResidue::purge_call`]).
     pub(crate) p2p_through: Option<u64>,
 }
 
 impl OpResidue {
-    pub(crate) fn new(spec: OpSpec) -> Self {
-        OpResidue { spec, put_flows: Vec::new(), events: Vec::new(), p2p_through: None }
+    pub(crate) fn new(spec: OpSpec, first_id: u64) -> Self {
+        OpResidue { spec, put_flows: Vec::new(), events: Vec::new(), first_id, p2p_through: None }
     }
 
     /// The call that rolls the partial import back at the destination,
@@ -87,7 +98,7 @@ impl OpResidue {
     /// all; a P2P move's chunk batches travel worker → worker, so its
     /// rounds are tombstoned as well — a batch still in flight cannot
     /// resurrect the deleted state. The engine's abort path sends exactly
-    /// this, fenced — for a recovered op too.
+    /// this — for a recovered op too.
     pub(crate) fn purge_call(&self) -> Option<WireCall> {
         let flow_ids = self.put_flows.clone();
         match self.p2p_through {
@@ -115,18 +126,12 @@ pub struct RtController {
     lookups_seen_at: Instant,
     from_workers: Receiver<String>,
     to_ctrl: Sender<String>,
-    next_id: u64,
+    pub(crate) next_id: u64,
     /// Controller → worker links (shimmed when a fault plan is armed).
     ctrl_links: Vec<FaultyChannel>,
     /// Router → worker links (what fault-aware generators send through).
     data_links: Vec<FaultyChannel>,
     pub(crate) reply_timeout: Duration,
-    /// Fencing epoch stamped on [`WireMsg::Fenced`] sends; each
-    /// [`RtController::recover`] bumps it, as the simulator's controller
-    /// does per recovery.
-    pub(crate) fence_epoch: u64,
-    /// Mint for fence sequence numbers (unique per send within an epoch).
-    fence_seq: u64,
     /// Packet uids the last aborted move could not replay (its explicit
     /// loss accounting, mirroring the simulator's `abort_lost`).
     pub(crate) last_abort_lost: Vec<u64>,
@@ -157,6 +162,17 @@ pub struct RtController {
     /// bandwidth accounting. FIFO with a bottomless bucket by default —
     /// byte-identical to the engine before the scheduler existed.
     pub(crate) sched: opennf_sched::OpScheduler,
+}
+
+/// Where a controller → worker message travels.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// The controller link (shimmed when the worker is in a fault domain).
+    Link,
+    /// The management channel: the raw, unshimmed worker inbox, standing
+    /// in for the reliable control connection — teardown must not be
+    /// droppable.
+    Mgmt,
 }
 
 /// What one controller-side receive produced.
@@ -278,8 +294,6 @@ impl RtController {
             ctrl_links,
             data_links,
             reply_timeout: REPLY_TIMEOUT,
-            fence_epoch: 0,
-            fence_seq: 0,
             last_abort_lost: Vec::new(),
             inbox: VecDeque::new(),
             tel,
@@ -356,13 +370,6 @@ impl RtController {
         self
     }
 
-    /// Sends `msg` to worker `i` over the (possibly shimmed) controller
-    /// link. An injected drop is a *successful* send — the message just
-    /// never arrives, exactly as on a real network.
-    fn send_to_worker(&self, i: usize, msg: &WireMsg) -> Result<(), RtError> {
-        self.ctrl_links[i].send(msg).map_err(|_| RtError::WorkerGone { worker: i })
-    }
-
     /// Injects a packet through the router (what generator threads do via
     /// a clone of [`RtController::router`] and worker senders — this
     /// method is the single-threaded convenience). Fails if the routed-to
@@ -422,68 +429,52 @@ impl RtController {
     /// wait. Benchmarks use this to keep preload processing out of a
     /// measured move window.
     pub fn quiesce(&mut self, worker: usize) -> Result<(), RtError> {
-        let id = self.call(worker, WireCall::DelPerflow { flow_ids: Vec::new() })?;
+        let id = self.send(worker, WireCall::DelPerflow { flow_ids: Vec::new() }, Via::Link, 0)?;
         Self::expect_done(self.await_reply(worker, id)?)
     }
 
-    pub(crate) fn call(&mut self, worker: usize, call: WireCall) -> Result<u64, RtError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.send_to_worker(worker, &WireMsg::Request { id, call, span: None })?;
-        Ok(id)
+    /// The request floor: the first request id of the oldest live op (one
+    /// with a residue), or the next id when none is live. It moves only
+    /// when an op is admitted, finalized or recovered — never with reply
+    /// timing — so a single op's request bytes repeat from run to run.
+    fn floor(&self) -> u64 {
+        self.residue.values().map(|r| r.first_id).min().unwrap_or(self.next_id)
     }
 
-    /// Like [`RtController::call`], but stamps the request with the raw id
-    /// of the controller span issuing it, so the worker's frame-decode
-    /// span links back across the thread boundary. Shimmed links are never
-    /// stamped: span ids are allocated racily across threads, and a fault
+    /// Sends `call` to worker `worker` via `via` as a fenced request and
+    /// returns its correlation id. `span` (0 = none) is the raw id of the
+    /// controller span issuing it, so the worker's frame-decode span links
+    /// back across the thread boundary; a shimmed link is never stamped,
+    /// because span ids are allocated racily across threads and a fault
     /// verdict keyed on rerun-varying bytes would break ledger
-    /// determinism.
-    pub(crate) fn call_linked(
+    /// determinism. An injected drop is a *successful* send — the message
+    /// just never arrives, exactly as on a real network.
+    pub(crate) fn send(
         &mut self,
         worker: usize,
         call: WireCall,
-        span_raw: u64,
+        via: Via,
+        span: u64,
     ) -> Result<u64, RtError> {
-        let id = self.next_id;
+        let (id, floor) = (self.next_id, self.floor());
         self.next_id += 1;
-        let span = (span_raw != 0 && !self.ctrl_links[worker].is_shimmed()).then_some(span_raw);
-        self.send_to_worker(worker, &WireMsg::Request { id, call, span })?;
-        Ok(id)
+        let shimmed = via == Via::Link && self.ctrl_links[worker].is_shimmed();
+        let span = (span != 0 && !shimmed).then_some(span);
+        let json = WireMsg::Request { id, floor, call, span }.to_json();
+        if self.post(worker, via, json) {
+            Ok(id)
+        } else {
+            Err(RtError::WorkerGone { worker })
+        }
     }
 
-    /// Like [`RtController::call`], but wrapped in the idempotency fence:
-    /// the worker applies the call at most once even if the channel (or a
-    /// hostile fault plan) duplicates it. Used on reissue paths — calls
-    /// that may race an earlier in-flight copy of themselves.
-    pub(crate) fn call_fenced(&mut self, worker: usize, call: WireCall) -> Result<u64, RtError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let seq = self.fence_seq;
-        self.fence_seq += 1;
-        self.send_to_worker(
-            worker,
-            &WireMsg::Fenced { epoch: self.fence_epoch, seq, id, call, span: None },
-        )?;
-        Ok(id)
-    }
-
-    /// Sends a fenced call over worker `worker`'s *management channel*
-    /// (the raw, unshimmed channel — standing in for the reliable control
-    /// connection), returning the correlation id to await. Settle paths
-    /// and recovery use this: teardown must not be droppable.
-    pub(crate) fn send_fenced_mgmt(
-        &mut self,
-        worker: usize,
-        call: WireCall,
-    ) -> Result<u64, RtError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let seq = self.fence_seq;
-        self.fence_seq += 1;
-        self.workers[worker]
-            .send(&WireMsg::Fenced { epoch: self.fence_epoch, seq, id, call, span: None })?;
-        Ok(id)
+    /// Hands one channel payload to worker `worker` via `via`; `false`
+    /// when the worker is gone.
+    fn post(&self, worker: usize, via: Via, json: String) -> bool {
+        match via {
+            Via::Link => self.ctrl_links[worker].send_json(json).is_ok(),
+            Via::Mgmt => self.workers[worker].tx.send(json).is_ok(),
+        }
     }
 
     /// Waits for worker `worker`'s response to `id`, re-homing any events
@@ -526,7 +517,8 @@ impl RtController {
             res.events.push(ev);
         } else if let WireEvent::PacketReceived { ref packet } = ev {
             if let Some(w) = self.router.lookup(packet) {
-                let _ = self.replay_one(w, ev);
+                let (_, lost) = self.replay(w, vec![ev], Via::Link);
+                self.last_abort_lost.extend(lost);
             }
         }
     }
@@ -540,67 +532,45 @@ impl RtController {
         }
     }
 
-    /// Replays one buffered event packet to `dst` over the (possibly
-    /// shimmed) controller link, marked do-not-buffer / do-not-drop
-    /// (§4.3). Returns how many packets were sent (0 or 1).
-    pub(crate) fn replay_one(&self, dst: usize, ev: WireEvent) -> Result<usize, RtError> {
-        if let WireEvent::PacketReceived { mut packet } = ev {
-            packet.do_not_buffer = true;
-            packet.do_not_drop = true;
-            self.ctrl_links[dst]
-                .send(&WireMsg::Packet { packet })
-                .map_err(|_| RtError::WorkerGone { worker: dst })?;
-            Ok(1)
-        } else {
-            Ok(0)
-        }
-    }
-
-    /// Replays a run of buffered event packets to `dst` over the
-    /// controller link as coalesced frames of at most [`REPLAY_BATCH`]
-    /// packets each — one channel send per frame instead of per packet.
-    /// Returns how many packets shipped.
-    ///
-    /// Shimmed links fall back to per-packet sends: how many events are
-    /// buffered at replay time is timing-dependent, and a frame whose
-    /// composition varies between reruns would get rerun-varying
-    /// content-addressed fault verdicts (breaking ledger determinism).
-    pub(crate) fn replay_now(
-        &mut self,
-        dst: usize,
-        events: impl Iterator<Item = WireEvent>,
-    ) -> Result<usize, RtError> {
-        if self.ctrl_links[dst].is_shimmed() {
-            let mut replayed = 0usize;
-            for ev in events {
-                replayed += self.replay_one(dst, ev)?;
-            }
-            return Ok(replayed);
-        }
-        let mut buf = FrameBuf::new();
-        let mut shipped = 0usize;
-        let flush = |buf: &mut FrameBuf| -> Result<(), RtError> {
-            if let Some(frame) = buf.finish() {
-                self.c_frames_encoded.fetch_add(1, Ordering::Relaxed);
-                self.ctrl_links[dst]
-                    .send_json(frame)
-                    .map_err(|_| RtError::WorkerGone { worker: dst })?;
-            }
-            Ok(())
-        };
+    /// Replays buffered event packets to `dst` via `via`, marked
+    /// do-not-buffer / do-not-drop (§4.3), coalesced into frames of at
+    /// most [`REPLAY_BATCH`] packets — one channel send per frame instead
+    /// of per packet. A shimmed link gets one packet per send instead:
+    /// how many events are buffered at replay time is timing-dependent,
+    /// and a frame whose composition varies between reruns would get
+    /// rerun-varying content-addressed fault verdicts. Returns how many
+    /// packets were handed over and the uids of those that could not be
+    /// (the worker is gone), for the caller's loss accounting.
+    pub(crate) fn replay(&self, dst: usize, events: Vec<WireEvent>, via: Via) -> (usize, Vec<u64>) {
+        let per_packet = via == Via::Link && self.ctrl_links[dst].is_shimmed();
+        let (mut msgs, mut uids) = (Vec::new(), Vec::new());
         for ev in events {
             if let WireEvent::PacketReceived { mut packet } = ev {
                 packet.do_not_buffer = true;
                 packet.do_not_drop = true;
-                buf.push(&WireMsg::Packet { packet });
-                shipped += 1;
-                if buf.len() >= REPLAY_BATCH {
-                    flush(&mut buf)?;
-                }
+                uids.push(packet.uid);
+                msgs.push(WireMsg::Packet { packet });
             }
         }
-        flush(&mut buf)?;
-        Ok(shipped)
+        let batch = if per_packet { 1 } else { REPLAY_BATCH };
+        let (mut sent, mut lost, mut buf) = (0usize, Vec::new(), FrameBuf::new());
+        for (run, uids) in msgs.chunks(batch).zip(uids.chunks(batch)) {
+            let json = if per_packet {
+                run[0].to_json()
+            } else {
+                run.iter().for_each(|m| buf.push(m));
+                self.c_frames_encoded.fetch_add(1, Ordering::Relaxed);
+                buf.finish().expect("a run is never empty")
+            };
+            if self.post(dst, via, json) {
+                sent += run.len();
+            } else {
+                lost.extend_from_slice(uids);
+            }
+        }
+        lost.sort_unstable();
+        lost.dedup();
+        (sent, lost)
     }
 
     // ---- op journal & recovery ----
@@ -759,49 +729,6 @@ impl RtController {
         self.run_ops(vec![crate::engine::OpSpec::mv_p2p(src, dst, filter)])
             .pop()
             .expect("one spec in, one result out")
-    }
-
-    /// Ships every buffered event packet to local worker `replay_to` over
-    /// the management channel (the abort path must converge even while
-    /// the fault plan is hostile), coalesced into frames; a frame the dead
-    /// worker never takes loses every packet inside it, and each uid is
-    /// accounted. Returns `(replayed, lost_uids)`.
-    pub(crate) fn replay_events_to(
-        &mut self,
-        replay_to: usize,
-        events: Vec<WireEvent>,
-    ) -> (usize, Vec<u64>) {
-        let mut replayed = 0usize;
-        let mut lost = Vec::new();
-        let mut buf = FrameBuf::new();
-        let mut pending: Vec<u64> = Vec::new();
-        let flush =
-            |buf: &mut FrameBuf, pending: &mut Vec<u64>, replayed: &mut usize, lost: &mut Vec<u64>| {
-                if let Some(frame) = buf.finish() {
-                    self.c_frames_encoded.fetch_add(1, Ordering::Relaxed);
-                    if self.workers[replay_to].tx.send(frame).is_ok() {
-                        *replayed += pending.len();
-                    } else {
-                        lost.append(pending);
-                    }
-                    pending.clear();
-                }
-            };
-        for ev in events {
-            if let WireEvent::PacketReceived { mut packet } = ev {
-                packet.do_not_buffer = true;
-                packet.do_not_drop = true;
-                pending.push(packet.uid);
-                buf.push(&WireMsg::Packet { packet });
-                if buf.len() >= REPLAY_BATCH {
-                    flush(&mut buf, &mut pending, &mut replayed, &mut lost);
-                }
-            }
-        }
-        flush(&mut buf, &mut pending, &mut replayed, &mut lost);
-        lost.sort_unstable();
-        lost.dedup();
-        (replayed, lost)
     }
 
     /// Shuts all workers down and returns their harnesses in index order.
@@ -1014,8 +941,54 @@ mod tests {
         }
         // The controller is not poisoned: the surviving worker still
         // answers southbound calls.
-        let id = ctrl.call(1, WireCall::GetAllflows).unwrap();
+        let id = ctrl.send(1, WireCall::GetAllflows, Via::Link, 0).unwrap();
         assert!(matches!(ctrl.await_reply(1, id), Ok(WireReply::Chunks { .. })));
+    }
+
+    /// The worker's fence forgets what the request floor passes: over 200
+    /// alternating moves its applied-id set stays within one op's
+    /// requests, instead of growing with every op.
+    #[test]
+    fn fence_window_stays_within_one_op() {
+        let tel = Telemetry::wall();
+        let mut ctrl = RtController::new_with_telemetry(
+            vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
+            tel.clone(),
+        );
+        for uid in 1..=20u64 {
+            ctrl.inject(pkt(uid, uid as u16)).unwrap();
+        }
+        ctrl.quiesce(0).unwrap();
+        let windows = || {
+            let gauges = tel.registry().gauges();
+            let at = |w: usize| {
+                let name = format!("rt.fence.window.w{w}");
+                gauges.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v)
+            };
+            [at(0), at(1)]
+        };
+        let (mut per_op, mut at_10) = (0u64, [0; 2]);
+        for op in 1..=200u64 {
+            let (src, dst) = if op % 2 == 1 { (0, 1) } else { (1, 0) };
+            let first = ctrl.next_id;
+            let stats = ctrl.move_flows_lossfree(src, dst, Filter::any()).expect("move succeeds");
+            assert_eq!(stats.chunks, 20, "op {op} moves every flow");
+            per_op = per_op.max(ctrl.next_id - first);
+            if op == 10 {
+                at_10 = windows();
+            }
+        }
+        let at_200 = windows();
+        for w in 0..2 {
+            assert!(at_10[w] >= 1, "worker {w} reports its fence window");
+            assert!(
+                at_200[w] <= at_10[w] && at_200[w] <= per_op,
+                "worker {w}: window {} after op 200, {} after op 10, {per_op} requests per op",
+                at_200[w],
+                at_10[w]
+            );
+        }
+        ctrl.shutdown();
     }
 
     #[test]
@@ -1057,11 +1030,11 @@ mod tests {
         ctrl.worker_tx(1).send(WireMsg::Packet { packet: pkt(1, 0) }.to_json()).unwrap();
         // Worker 1 reports its failure and exits, closing its channel:
         // its report is queued for the controller before worker 0 is asked.
-        while ctrl.call(1, WireCall::GetAllflows).is_ok() {
+        while ctrl.send(1, WireCall::GetAllflows, Via::Link, 0).is_ok() {
             std::thread::sleep(Duration::from_millis(1));
         }
         ctrl.quiesce(0).expect("worker 1's failure is not worker 0's");
-        let id = ctrl.call(0, WireCall::GetAllflows).unwrap();
+        let id = ctrl.send(0, WireCall::GetAllflows, Via::Link, 0).unwrap();
         assert!(matches!(ctrl.await_reply(0, id), Ok(WireReply::Chunks { .. })));
     }
 }

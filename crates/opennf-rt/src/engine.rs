@@ -90,7 +90,7 @@ use opennf_packet::{Filter, FlowId};
 use opennf_sched::{OpClass, PendingOp};
 use opennf_telemetry::SpanId;
 
-use crate::controller::{MoveStats, OpResidue, Recv, RtController};
+use crate::controller::{MoveStats, OpResidue, Recv, RtController, Via};
 use crate::error::RtError;
 use crate::wire::{WireAction, WireCall, WireEvent, WireMsg, WireReply};
 
@@ -110,7 +110,7 @@ const FWD_IDLE: Duration = Duration::from_millis(20);
 
 /// The post-flip quiet window.
 /// A packet *enqueued* at the source before the flip needs no
-/// timer: the worker inbox is FIFO and the fenced `disableEvents` travels
+/// timer: the worker inbox is FIFO and the `disableEvents` travels
 /// it, so the packet raises its event before the ack and is replayed at
 /// the ack. The window covers the one remaining race — a generator that
 /// looked the route up under the old table and has not enqueued yet — so
@@ -263,10 +263,11 @@ enum St {
     /// were already queued toward the source (move only). Awaits no
     /// reply: `deadline` is the quiet window's ceiling.
     FwdWait,
-    /// Abort: fenced purge of already-shipped flows in flight at the
+    /// Abort: purge of already-shipped flows in flight at the
     /// destination ([`OpResidue::purge_call`]).
     AbortPurge,
-    /// The source's disarm — fenced `disableEvents` — in flight;
+    /// The source's disarm — `disableEvents` over the management
+    /// channel — in flight;
     /// collecting the teardown flush. Every armed op, committing or
     /// aborting, ends here.
     Settling,
@@ -460,17 +461,19 @@ impl RtController {
             .collect()
     }
 
-    /// Recovery pass after a crash: bumps the fencing epoch, then resumes
-    /// every op that left a residue — admitted and not terminal, whether
-    /// or not it journaled — as an engine task at the continuation of its
-    /// last journal record, and drives them through the one dispatch
-    /// loop. Ops at or past [`JournalPhase::Transferred`] (every flow
+    /// Recovery pass after a crash: bumps the journal epoch and raises the
+    /// request floor to the next id — every request sent before the crash
+    /// is abandoned, so a copy still in flight can no longer apply — then
+    /// resumes every op that left a residue — admitted and not terminal,
+    /// whether or not it journaled — as an engine task at the continuation
+    /// of its last journal record, and drives them through the one
+    /// dispatch loop. Ops at or past [`JournalPhase::Transferred`] (every flow
     /// confirmed at the destination) fail *forward* through the rest of
     /// the spine: a move deletes at the source, flushes, flips the route,
     /// drains stragglers and only then disarms the source; a copy commits;
-    /// a share disarms. Earlier ops take the abort path: fenced purge at
-    /// the destination (P2P rounds tombstoned), fenced disarm at the
-    /// source, buffered events replayed to the source with any loss in
+    /// a share disarms. Earlier ops take the abort path: purge at the
+    /// destination (P2P rounds tombstoned), disarm at the source,
+    /// buffered events replayed to the source with any loss in
     /// `abort_lost`. Queued messages in the worker → controller channel
     /// are *not* discarded — the channel models a network that lost
     /// nothing in the crash; a pre-crash response answers no resumed
@@ -481,8 +484,11 @@ impl RtController {
         self.crashed = false;
         self.crash_after = None;
         self.last_abort_lost.clear();
-        self.fence_epoch += 1;
-        self.journal.epoch = self.fence_epoch;
+        self.journal.epoch += 1;
+        let next_id = self.next_id;
+        for r in self.residue.values_mut() {
+            r.first_id = next_id;
+        }
         let sp = self.tel.begin("recovery.rt");
         let (now, now_ns) = (Instant::now(), self.tel.now_ns());
         let mut ids: Vec<u64> = self.residue.keys().copied().collect();
@@ -680,7 +686,7 @@ impl RtController {
     fn start_op(&mut self, t: &mut OpTask) -> Result<(), RtError> {
         t.start = Instant::now();
         t.report.start_ns = self.tel.now_ns();
-        self.residue.insert(t.op.0, OpResidue::new(t.spec));
+        self.residue.insert(t.op.0, OpResidue::new(t.spec, self.next_id));
         self.ew_handoff(t.op, t.spec.src, t.spec.dst);
         let root = self.tel.begin_linked_arg(
             0,
@@ -693,9 +699,10 @@ impl RtController {
                 let phase = if t.spec.kind == OpClass::Move { "move.export" } else { "share.arm" };
                 let sp = self.tel.begin_under(root, phase);
                 t.phase = Some(sp);
-                let id = self.call_linked(
+                let id = self.send(
                     t.spec.src,
                     WireCall::EnableEvents { filter: t.spec.filter, action: WireAction::Drop },
+                    Via::Link,
                     sp.raw(),
                 )?;
                 self.wait_for(t, id, St::WaitEnable);
@@ -716,9 +723,10 @@ impl RtController {
     /// span: batches flow back under one id while the puts pipeline them
     /// into the destination.
     fn stream_export(&mut self, t: &mut OpTask) -> Result<(), RtError> {
-        let id = self.call_linked(
+        let id = self.send(
             t.spec.src,
             WireCall::GetPerflowChunked { filter: t.spec.filter, batch: STREAM_BATCH },
+            Via::Link,
             t.phase.expect("stream span open").raw(),
         )?;
         t.get_id = Some(id);
@@ -899,9 +907,10 @@ impl RtController {
     /// The round's deadline runs from here and is not extended by
     /// receipts — when it passes, whatever was confirmed is reconciled.
     fn p2p_round(&mut self, t: &mut OpTask, only: Vec<FlowId>) -> Result<(), RtError> {
-        let id = self.call_linked(
+        let id = self.send(
             t.spec.src,
             WireCall::TransferPerflow { filter: t.spec.filter, peer: t.spec.dst, only },
+            Via::Link,
             t.phase.expect("transfer span open").raw(),
         )?;
         t.get_id = Some(id);
@@ -962,7 +971,7 @@ impl RtController {
         let window = self.sched.put_window(t.spec.src, self.tel.now_ns());
         while t.put_ids.len() < window {
             let Some(chunks) = t.backlog.pop_front() else { break };
-            match self.call(t.spec.dst, WireCall::PutPerflow { chunks }) {
+            match self.send(t.spec.dst, WireCall::PutPerflow { chunks }, Via::Link, 0) {
                 Ok(id) => {
                     t.put_ids.insert(id);
                     t.deadline = Instant::now() + self.reply_timeout;
@@ -1008,14 +1017,17 @@ impl RtController {
         t.phase = Some(self.tel.begin_under(root, "move.import"));
         // An empty delete still round-trips: it doubles as the barrier
         // proving the source processed everything up to here.
-        match self.call(t.spec.src, WireCall::DelPerflow { flow_ids: t.flow_ids.clone() }) {
+        let del = WireCall::DelPerflow { flow_ids: t.flow_ids.clone() };
+        match self.send(t.spec.src, del, Via::Link, 0) {
             Ok(id) => self.wait_for(t, id, St::Deleting),
             Err(e) => self.fail_op(t, e, locks),
         }
     }
 
     /// A move's source copy is released (`Imported`): replay everything
-    /// buffered so far to the destination, journal `Flushed`, flip.
+    /// buffered so far to the destination, journal `Flushed`, flip. The
+    /// replayed events have left the residue, so a packet the destination
+    /// cannot take is accounted in `abort_lost` before the op fails.
     fn flush(&mut self, t: &mut OpTask, locks: &mut Locks) {
         let sp = self.tel.begin_under(t.root.expect("root span open"), "move.flush");
         let events = self
@@ -1023,11 +1035,13 @@ impl RtController {
             .get_mut(&t.op.0)
             .map(|r| std::mem::take(&mut r.events))
             .unwrap_or_default();
-        let replayed = self.replay_now(t.spec.dst, events.into_iter());
+        let (replayed, lost) = self.replay(t.spec.dst, events, Via::Link);
         self.tel.end(sp);
-        match replayed {
-            Ok(n) => t.replayed += n,
-            Err(e) => return self.fail_op(t, e, locks),
+        t.replayed += replayed;
+        if !lost.is_empty() {
+            t.report.abort_lost.extend(&lost);
+            self.last_abort_lost.extend(lost);
+            return self.fail_op(t, RtError::WorkerGone { worker: t.spec.dst }, locks);
         }
         if !self.jlog(t.op, JournalPhase::Flushed, &t.report) {
             self.flip(t);
@@ -1059,22 +1073,13 @@ impl RtController {
             t.last_event = now;
             if t.st == St::FwdWait {
                 // Past the flush: stragglers replay straight to the
-                // destination instead of queueing for another flush.
-                let uid = match &ev {
-                    WireEvent::PacketReceived { packet } => Some(packet.uid),
-                    _ => None,
-                };
-                match self.replay_one(t.spec.dst, ev) {
-                    Ok(n) => t.replayed += n,
-                    Err(_) => {
-                        // The destination died under us: the packet is
-                        // gone, and the loss is accounted, not silent.
-                        if let Some(uid) = uid {
-                            self.last_abort_lost.push(uid);
-                            t.report.abort_lost.push(uid);
-                        }
-                    }
-                }
+                // destination instead of queueing for another flush. If
+                // the destination died under us, the packet is gone and
+                // the loss is accounted, not silent.
+                let (replayed, lost) = self.replay(t.spec.dst, vec![ev], Via::Link);
+                t.replayed += replayed;
+                t.report.abort_lost.extend(&lost);
+                self.last_abort_lost.extend(lost);
             } else {
                 t.report.events_buffered += 1;
                 if let Some(res) = self.residue.get_mut(&t.op.0) {
@@ -1150,14 +1155,14 @@ impl RtController {
         let purge =
             self.residue.get(&t.op.0).and_then(OpResidue::purge_call).filter(|_| !t.flipped);
         if let Some(purge) = purge {
-            if let Ok(id) = self.call_fenced(t.spec.dst, purge) {
+            if let Ok(id) = self.send(t.spec.dst, purge, Via::Link, 0) {
                 return self.wait_for(t, id, St::AbortPurge);
             }
         }
         self.disarm(t, locks);
     }
 
-    /// Restores a quiescent source — fenced `disableEvents` over the
+    /// Restores a quiescent source — `disableEvents` over the
     /// management channel; whatever the teardown flushes out replays at
     /// the ack — on commit and abort alike. A copy never armed a filter,
     /// and a source that is gone took its filter (and any still-buffered
@@ -1167,7 +1172,7 @@ impl RtController {
             return self.finalize(t, locks);
         }
         let (src, filter) = (t.spec.src, t.spec.filter);
-        match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
+        match self.send(src, WireCall::DisableEvents { filter }, Via::Mgmt, 0) {
             Ok(id) => self.wait_for(t, id, St::Settling),
             Err(_) => self.finalize(t, locks),
         }
@@ -1184,7 +1189,7 @@ impl RtController {
             .map(|r| r.events)
             .unwrap_or_default();
         let replay_to = if t.flipped { t.spec.dst } else { t.spec.src };
-        let (replayed, lost) = self.replay_events_to(replay_to, events);
+        let (replayed, lost) = self.replay(replay_to, events, Via::Mgmt);
         t.replayed += replayed;
         if let Some(e) = &t.err {
             t.report.abort(e.to_string(), None);

@@ -201,34 +201,24 @@ pub enum WireMsg {
         /// The packet.
         packet: Packet,
     },
-    /// Controller → NF request.
+    /// Controller → NF request. Every request is fenced: the worker
+    /// applies a given `id` at most once, and drops a request whose `id`
+    /// is below the highest `floor` it has seen — so neither a duplicate
+    /// on the wire nor a late copy of a finished op's call can apply.
     Request {
-        /// Correlation id.
+        /// Correlation id (minted in increasing order).
         id: u64,
+        /// Every request id below this belongs to an op that is terminal
+        /// or was abandoned by a controller crash: the first request id of
+        /// the oldest live op, or the next id when none is live. The
+        /// worker forgets the applied ids below it.
+        floor: u64,
         /// The call.
         call: WireCall,
         /// Span link: raw id of the controller telemetry span that sent
         /// this request, if telemetry is on — the worker's frame-decode
         /// span adopts it as parent, tying both sides of the southbound
         /// exchange into one trace tree.
-        span: Option<u64>,
-    },
-    /// Controller → NF request under an idempotency fence: the worker
-    /// applies a given `(epoch, id, seq)` at most once and discards calls
-    /// from an epoch older than the newest it has seen. Calls reissued
-    /// after a controller recovery travel in this envelope, so
-    /// channel-level duplication — or a reissue racing its pre-crash
-    /// original — cannot double-apply.
-    Fenced {
-        /// Controller recovery epoch.
-        epoch: u64,
-        /// Fence sequence number (unique per send within an epoch).
-        seq: u64,
-        /// Correlation id.
-        id: u64,
-        /// The call.
-        call: WireCall,
-        /// Span link (see [`WireMsg::Request::span`]).
         span: Option<u64>,
     },
     /// NF → controller response.
@@ -393,6 +383,7 @@ mod tests {
     fn roundtrip_request() {
         let m = WireMsg::Request {
             id: 7,
+            floor: 5,
             call: WireCall::GetPerflow { filter: Filter::any() },
             span: Some(12),
         };
@@ -400,7 +391,9 @@ mod tests {
         assert!(js.contains("\"type\":\"request\""));
         assert!(js.contains("get_perflow"));
         match WireMsg::from_json(&js).unwrap() {
-            WireMsg::Request { id: 7, call: WireCall::GetPerflow { .. }, span: Some(12) } => {}
+            WireMsg::Request {
+                id: 7, floor: 5, call: WireCall::GetPerflow { .. }, span: Some(12)
+            } => {}
             other => panic!("bad roundtrip: {other:?}"),
         }
         // A pre-span-link request (no `span` member) still parses: the
@@ -410,25 +403,6 @@ mod tests {
         match WireMsg::from_json(&legacy).unwrap() {
             WireMsg::Request { id: 7, span: None, .. } => {}
             other => panic!("bad legacy parse: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn roundtrip_fenced_request() {
-        let m = WireMsg::Fenced {
-            epoch: 2,
-            seq: 41,
-            id: 7,
-            call: WireCall::DisableEvents { filter: Filter::any() },
-            span: None,
-        };
-        let js = m.to_json();
-        assert!(js.contains("\"type\":\"fenced\""));
-        match WireMsg::from_json(&js).unwrap() {
-            WireMsg::Fenced {
-                epoch: 2, seq: 41, id: 7, call: WireCall::DisableEvents { .. }, ..
-            } => {}
-            other => panic!("bad roundtrip: {other:?}"),
         }
     }
 
@@ -521,14 +495,14 @@ mod tests {
     #[test]
     fn two_message_frame_is_golden_bytes() {
         let msgs = [
-            WireMsg::Request { id: 7, call: WireCall::GetAllflows, span: None },
+            WireMsg::Request { id: 7, floor: 7, call: WireCall::GetAllflows, span: None },
             WireMsg::Response { id: 7, reply: WireReply::Done },
         ];
         let frames = encode_frames(&msgs, 2);
         assert_eq!(
             frames,
             [concat!(
-                r##"#68:{"type":"request","id":7,"call":{"call":"get_allflows"},"span":null}"##,
+                r##"#78:{"type":"request","id":7,"floor":7,"call":{"call":"get_allflows"},"span":null}"##,
                 r##"51:{"type":"response","id":7,"reply":{"reply":"done"}}"##
             )]
         );

@@ -5,6 +5,13 @@
 //! message, reported to the controller as [`WireEvent::NfFailed`], and the
 //! thread exits cleanly — it never unwinds across the channel and never
 //! leaves the controller blocked on a reply that will not come.
+//!
+//! Every request is fenced ([`WireMsg::Request`]): the worker keeps the
+//! highest request floor it has seen and the ids at or above it that it
+//! has applied, and drops a request below the floor or already applied.
+//! Applied ids below a new floor are forgotten, so the fence's memory is
+//! bounded by the requests of the ops still live; its size is the
+//! `rt.fence.window.w<i>` gauge.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -184,15 +191,20 @@ struct WorkerCounters {
     frames_decoded: Arc<AtomicU64>,
     p2p_batches: Arc<AtomicU64>,
     fenced_dropped: Arc<AtomicU64>,
+    /// Applied ids the fence holds (absent when telemetry is disabled).
+    fence_window: Option<Arc<AtomicU64>>,
 }
 
 impl WorkerCounters {
-    fn resolve(tel: &Telemetry) -> Self {
+    fn resolve(tel: &Telemetry, index: usize) -> Self {
         WorkerCounters {
             frames_encoded: tel.counter("rt.frames.encoded"),
             frames_decoded: tel.counter("rt.frames.decoded"),
             p2p_batches: tel.counter("rt.p2p.batches"),
             fenced_dropped: tel.counter("rt.fenced.dropped"),
+            fence_window: tel
+                .enabled()
+                .then(|| tel.registry().gauge(&format!("rt.fence.window.w{index}"))),
         }
     }
 }
@@ -322,11 +334,11 @@ fn worker_loop(
     let mut harness = EventedNf::new(nf);
     let mut ev_buf = FrameBuf::new();
     let mut p2p = P2pIn::default();
-    let counters = WorkerCounters::resolve(&tel);
-    // Idempotency fence: highest controller epoch seen and the
-    // (epoch, id, seq) keys already applied (see [`WireMsg::Fenced`]).
-    let mut fence_epoch = 0u64;
-    let mut fence_seen: HashSet<(u64, u64, u64)> = HashSet::new();
+    let counters = WorkerCounters::resolve(&tel, index);
+    // The request fence: the highest floor seen and the ids at or above
+    // it already applied.
+    let mut floor = 0u64;
+    let mut applied: HashSet<u64> = HashSet::new();
     'recv: while let Ok(raw) = rx.recv() {
         // A payload may frame several messages (batched packets/chunks);
         // process them in frame order.
@@ -351,7 +363,7 @@ fn worker_loop(
         let frame_span = msgs
             .iter()
             .find_map(|m| match m {
-                WireMsg::Request { span, .. } | WireMsg::Fenced { span, .. } => *span,
+                WireMsg::Request { span, .. } => *span,
                 _ => None,
             })
             .filter(|_| tel.enabled())
@@ -359,27 +371,23 @@ fn worker_loop(
                 tel.begin_linked_arg(link, "rt.frame.decode", Some(format!("link={link}")))
             });
         for msg in msgs {
-            // Unwrap the fence envelope first: a stale-epoch or
-            // already-applied call is dropped here, everything else is
-            // handled exactly like the bare request it wraps.
-            let msg = match msg {
-                WireMsg::Fenced { epoch, seq, id, call, span } => {
-                    if epoch < fence_epoch || !fence_seen.insert((epoch, id, seq)) {
-                        counters.fenced_dropped.fetch_add(1, Ordering::Relaxed);
-                        // Point event for the happens-before oracle: the
-                        // wire fence envelope carries no op id, so the
-                        // analyzer attributes by time window.
-                        tel.event(
-                            "fence.dup",
-                            Some(format!("worker={index} epoch={epoch} id={id} seq={seq}")),
-                        );
-                        continue;
-                    }
-                    fence_epoch = epoch;
-                    WireMsg::Request { id, call, span }
+            if let WireMsg::Request { id, floor: f, .. } = msg {
+                if f > floor {
+                    floor = f;
+                    applied.retain(|&a| a >= floor);
                 }
-                m => m,
-            };
+                if id < floor || !applied.insert(id) {
+                    counters.fenced_dropped.fetch_add(1, Ordering::Relaxed);
+                    // Point event for the happens-before oracle: a request
+                    // carries no op id, so the analyzer attributes by time
+                    // window.
+                    tel.event("fence.dup", Some(format!("worker={index} id={id} floor={floor}")));
+                    continue;
+                }
+                if let Some(g) = &counters.fence_window {
+                    g.store(applied.len() as u64, Ordering::Relaxed);
+                }
+            }
             match msg {
                 WireMsg::Shutdown => break 'recv,
                 WireMsg::Packet { packet } => {
@@ -499,9 +507,8 @@ fn worker_loop(
                         }
                     }
                 }
-                // Workers never receive responses or events; Fenced was
-                // unwrapped above.
-                WireMsg::Response { .. } | WireMsg::Event { .. } | WireMsg::Fenced { .. } => {}
+                // Workers never receive responses or events.
+                WireMsg::Response { .. } | WireMsg::Event { .. } => {}
             }
         }
         if let Some(sp) = frame_span {
@@ -606,6 +613,7 @@ mod tests {
         w.send(&WireMsg::Packet { packet: pkt(1) }).unwrap();
         w.send(&WireMsg::Request {
             id: 5,
+            floor: 5,
             call: WireCall::GetPerflow { filter: Filter::any() },
             span: None,
         })
@@ -627,6 +635,7 @@ mod tests {
         let w = spawn_worker(3, Box::new(AssetMonitor::new()), to_ctrl);
         w.send(&WireMsg::Request {
             id: 1,
+            floor: 1,
             call: WireCall::EnableEvents {
                 filter: Filter::any(),
                 action: crate::wire::WireAction::Drop,
@@ -650,45 +659,33 @@ mod tests {
     }
 
     #[test]
-    fn fenced_requests_dedup_and_reject_stale_epochs() {
+    fn requests_below_the_floor_or_already_applied_are_dropped() {
         let (to_ctrl, from_workers) = unbounded();
         let w = spawn_worker(0, Box::new(AssetMonitor::new()), to_ctrl);
-        let fenced = WireMsg::Fenced {
-            epoch: 1,
-            seq: 0,
-            id: 4,
+        let get = |id: u64, floor: u64| WireMsg::Request {
+            id,
+            floor,
             call: WireCall::GetPerflow { filter: Filter::any() },
             span: None,
         };
-        w.send(&fenced).unwrap();
-        // Exact duplicate: dropped, no second reply.
-        w.send(&fenced).unwrap();
-        // Stale epoch (older than the 1 just seen): dropped.
-        w.send(&WireMsg::Fenced {
-            epoch: 0,
-            seq: 9,
-            id: 5,
-            call: WireCall::GetPerflow { filter: Filter::any() },
-            span: None,
-        })
-        .unwrap();
-        w.send(&WireMsg::Request {
-            id: 6,
-            call: WireCall::GetPerflow { filter: Filter::any() },
-            span: None,
-        })
-        .unwrap();
-        // The fenced get answers once, then the plain get — proving both
-        // the duplicate and the stale-epoch call were fenced out between.
-        match WireMsg::from_json(&from_workers.recv().unwrap()).unwrap() {
-            WireMsg::Response { id: 4, .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        match WireMsg::from_json(&from_workers.recv().unwrap()).unwrap() {
-            WireMsg::Response { id: 6, .. } => {}
-            other => panic!("unexpected {other:?}"),
+        w.send(&get(4, 1)).unwrap();
+        // Exact duplicate: already applied.
+        w.send(&get(4, 1)).unwrap();
+        // Raises the floor to 6 (and forgets id 4).
+        w.send(&get(6, 6)).unwrap();
+        // Below the floor: its op has ended.
+        w.send(&get(5, 1)).unwrap();
+        w.send(&get(7, 6)).unwrap();
+        // Only 4, 6 and 7 answer, in order — the duplicate and the
+        // below-floor request were dropped between them.
+        for want in [4, 6, 7] {
+            match WireMsg::from_json(&from_workers.recv().unwrap()).unwrap() {
+                WireMsg::Response { id, .. } => assert_eq!(id, want),
+                other => panic!("unexpected {other:?}"),
+            }
         }
         w.shutdown();
+        assert!(from_workers.try_recv().is_err(), "no reply to a dropped request");
     }
 
     #[test]

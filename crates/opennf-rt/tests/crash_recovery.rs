@@ -488,3 +488,42 @@ fn events_seen_by_quiesce_after_a_crash_are_replayed() {
         assert_eq!((at(0), at(1)), want, "{phase:?}: the probe is processed exactly once");
     }
 }
+
+/// A flush takes the spooled events out of the residue, so a flush that
+/// cannot reach the destination must account for every one of them: a
+/// packet the armed source dropped on the op's instruction is either
+/// replayed or named in `abort_lost`, never silently gone. The engine is
+/// crashed after `Imported`, 20 packets are dropped at the still-armed
+/// source and spooled by `quiesce`, then the destination shuts down
+/// before `recover()` resumes the op at its flush.
+#[test]
+fn flush_to_a_dead_destination_accounts_every_spooled_packet() {
+    const LATE: u64 = 5_000;
+    let mut ctrl = RtController::new(vec![monitor(), monitor()]);
+    for f in 0..50 {
+        ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
+    }
+    ctrl.quiesce(0).expect("worker alive");
+    ctrl.crash_after(JournalPhase::Imported);
+    let res = ctrl.run_ops(vec![OpSpec::mv(0, 1, Filter::any())]);
+    assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{:?}", res[0]);
+    for i in 0..20 {
+        ctrl.inject(pkt(LATE + i, i as u32)).expect("worker alive");
+    }
+    ctrl.quiesce(0).expect("worker alive");
+    // Shut the destination down and wait until its inbox is closed.
+    while ctrl.worker_tx(1).send(WireMsg::Shutdown.to_json()).is_ok() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let outcomes = ctrl.recover();
+    assert_eq!(outcomes, [(OpId(1), JournalPhase::Aborted)], "the flush cannot complete");
+    let want: Vec<u64> = (LATE..LATE + 20).collect();
+    assert_eq!(ctrl.abort_lost(), want, "every spooled packet is accounted");
+    let last = ctrl.journal().records.last().expect("journal non-empty");
+    let mut lost = last.report.abort_lost.clone();
+    lost.sort_unstable();
+    assert_eq!(lost, want, "the op's report names them too");
+    assert_eq!(last.report.events_released, 0, "nothing was replayed");
+    ctrl.shutdown();
+}

@@ -19,6 +19,7 @@ use conformance::{
     M_P2P, M_SCHED,
 };
 use opennf_prof::{check, profile, render, Trace};
+use opennf_util::FaultEvent;
 
 struct Args {
     seeds: u64,
@@ -59,16 +60,62 @@ fn parse_args() -> Args {
     args
 }
 
-/// Runs one spec; on a pass, whether each side's move committed
-/// (`(sim, rt)`).
-fn run_case(seed: u64, mask: u32) -> Result<(bool, bool), Box<DiffReport>> {
-    let spec = Spec::from_seed(seed, mask);
-    let r = differential(&spec);
+/// Runs one spec; the report is `Err` when the spec failed.
+fn run_case(seed: u64, mask: u32) -> Result<DiffReport, Box<DiffReport>> {
+    let r = differential(&Spec::from_seed(seed, mask));
     if r.ok {
-        Ok((r.sim.move_completed, r.rt.move_completed))
+        Ok(r)
     } else {
         Err(Box::new(r))
     }
+}
+
+/// The link classes of a spec's two-worker layout, as fault plans name
+/// the nodes: controller 0, router 1, source worker 2, destination 3.
+const LINK_CLASSES: [&str; 7] =
+    ["router→src", "router→dst", "ctrl→src", "ctrl→dst", "src→ctrl", "dst→ctrl", "peer"];
+/// The faults a link rule injects.
+const LINK_KINDS: [&str; 4] = ["drop", "delay", "duplicate", "reorder"];
+
+/// The (link class, fault kind) cell one injected fault falls in. Crash
+/// losses and stalls are node windows, not link cells.
+fn link_cell(ev: &FaultEvent) -> Option<(usize, usize)> {
+    let (kind, src, dst) = match ev {
+        FaultEvent::Dropped { src, dst, .. } => (0, src, dst),
+        FaultEvent::Delayed { src, dst, .. } => (1, src, dst),
+        FaultEvent::Duplicated { src, dst, .. } => (2, src, dst),
+        FaultEvent::Reordered { src, dst, .. } => (3, src, dst),
+        _ => return None,
+    };
+    let class = match (src.0, dst.0) {
+        (1, 2) => 0,
+        (1, 3) => 1,
+        (0, 2) => 2,
+        (0, 3) => 3,
+        (2, 0) => 4,
+        (3, 0) => 5,
+        (2, 3) | (3, 2) => 6,
+        _ => return None,
+    };
+    Some((class, kind))
+}
+
+/// Prints how often each link-class × fault-kind cell fired on the rt
+/// side over the lane, and lists the cells that never fired: a gap is a
+/// link no lane faults, not a failure.
+fn print_link_cells(cells: &[[usize; 4]; 7]) {
+    println!("rt link faults fired (class × kind):");
+    println!("  {:<11}{}", "", LINK_KINDS.map(|k| format!("{k:>10}")).concat());
+    let mut gaps = Vec::new();
+    for (class, row) in LINK_CLASSES.iter().zip(cells) {
+        println!("  {class:<11}{}", row.map(|n| format!("{n:>10}")).concat());
+        for (kind, &n) in LINK_KINDS.iter().zip(row) {
+            if n == 0 {
+                gaps.push(format!("{class} {kind}"));
+            }
+        }
+    }
+    println!("rt link gaps ({}): {}", gaps.len(), gaps.join(", "));
 }
 
 /// Writes the failing run's flight recorders next to the repro line:
@@ -151,12 +198,16 @@ fn main() {
     };
     let total = seeds.len();
     let (mut passed, mut sim_committed, mut rt_committed) = (0usize, 0usize, 0usize);
+    let mut cells = [[0usize; 4]; 7];
     for (i, seed) in seeds.into_iter().enumerate() {
         match run_case(seed, args.mask) {
-            Ok((sim, rt)) => {
+            Ok(r) => {
                 passed += 1;
-                sim_committed += usize::from(sim);
-                rt_committed += usize::from(rt);
+                sim_committed += usize::from(r.sim.move_completed);
+                rt_committed += usize::from(r.rt.move_completed);
+                for (class, kind) in r.rt.fault_log.iter().filter_map(link_cell) {
+                    cells[class][kind] += 1;
+                }
                 if (i + 1) % 10 == 0 || i + 1 == total {
                     println!("[{}/{}] ok through seed {}", i + 1, total, seed);
                 }
@@ -189,6 +240,7 @@ fn main() {
             }
         }
     }
+    print_link_cells(&cells);
     // A lane where one runtime aborts what the other commits shows here.
     println!(
         "soak clean: {passed}/{total} specs passed (mask 0x{:x}); moves committed: \

@@ -277,7 +277,7 @@ impl RtBackend {
     fn request(&mut self, call: WireCall) -> WireReply {
         self.next_id += 1;
         let id = self.next_id;
-        self.w.as_ref().unwrap().send(&WireMsg::Request { id, call, span: None }).unwrap();
+        self.w.as_ref().unwrap().send(&WireMsg::Request { id, floor: id, call, span: None }).unwrap();
         loop {
             let raw = self.rx.recv_timeout(Duration::from_secs(5)).expect("worker reply");
             // The worker frames its event sends as netstring runs; one
