@@ -173,11 +173,8 @@ fn rt_move_sample(flows: u32, p2p: bool, tel: &Telemetry) -> (f64, f64) {
     // window covers the transfer itself, not the preload drain.
     ctrl.quiesce(0).expect("worker alive");
     let_go_idle();
-    let stats = if p2p {
-        ctrl.move_flows_p2p(0, 1, Filter::any()).expect("p2p move succeeds")
-    } else {
-        ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds")
-    };
+    let mv = if p2p { OpSpec::mv_p2p } else { OpSpec::mv };
+    let stats = ctrl.run_op(mv(0, 1, Filter::any())).expect("move succeeds");
     assert_eq!(stats.chunks, flows as usize, "every preloaded flow moved");
     ctrl.shutdown();
     let ms = stats.duration.as_secs_f64() * 1e3;
@@ -228,10 +225,10 @@ fn rt_bulk_move(quick: bool, p2p: bool, tel: &Telemetry) -> Row {
 /// six round trips, the journal appends and the route flip, with nothing
 /// to export and (the data plane being quiet) no post-flip wait.
 fn rt_move_fixed(quick: bool) -> Row {
-    let mut ctrl = RtController::new(vec![
-        Box::new(AssetMonitor::new()),
-        Box::new(AssetMonitor::new()),
-    ]);
+    let mut ctrl = RtController::new_with_telemetry(
+        vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
+        Telemetry::wall(),
+    );
     let nothing = Filter::from_src(Ipv4Prefix::new(Ipv4Addr::new(192, 0, 2, 0), 24));
     let_go_idle();
     let runs = if quick { 20 } else { 100 };
@@ -239,7 +236,7 @@ fn rt_move_fixed(quick: bool) -> Row {
     for i in 0..runs {
         let t0 = Instant::now();
         let spec = OpSpec::mv(i % 2, 1 - i % 2, nothing);
-        let r = ctrl.run_ops(vec![spec]).pop().expect("one result");
+        let r = ctrl.run_op(spec);
         samples.push(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(r.expect("move succeeds").chunks, 0);
     }
@@ -265,7 +262,7 @@ fn rt_move_fixed(quick: bool) -> Row {
 fn rt_parallel_moves_sample(k: usize, flows: u32, engine: bool, policy: SchedPolicy) -> f64 {
     let nfs: Vec<Box<dyn NetworkFunction>> =
         (0..8).map(|_| Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>).collect();
-    let mut ctrl = RtController::new(nfs);
+    let mut ctrl = RtController::new_with_telemetry(nfs, Telemetry::wall());
     ctrl.set_sched_policy(policy);
     for j in 0..k {
         let tx = ctrl.worker_tx(j);
@@ -296,7 +293,7 @@ fn rt_parallel_moves_sample(k: usize, flows: u32, engine: bool, policy: SchedPol
         }
     } else {
         for j in 0..k {
-            let r = ctrl.run_ops(vec![spec(j)]).pop().expect("one result");
+            let r = ctrl.run_op(spec(j));
             assert_eq!(r.expect("move succeeds").chunks, flows as usize);
         }
     }

@@ -33,7 +33,7 @@ use opennf_controller::{
 use opennf_nf::{Chunk, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::Filter;
-use opennf_rt::{OpSpec, RtController, RtFaults, ShardedRt, WireMsg};
+use opennf_rt::{OpSpec, RtController, RtFaults, WireMsg};
 use opennf_telemetry::Telemetry;
 use opennf_trace::{steady_flows, TimedPacket};
 use opennf_util::{Dur, FaultEvent, FaultKind, FaultPlan, Md5, NodeId, SimRng, Time};
@@ -78,9 +78,9 @@ pub const M_CTRL_CRASH: u32 = 1 << 10;
 /// The sim builds a 2–4 switch chain split across two shard controllers
 /// (source instance on the ingress switch, destination on the last), so
 /// the move is a cross-shard two-controller handoff; the threaded runtime
-/// mirrors it with an [`opennf_rt::ShardedRt`] — one worker in the first
-/// and one in the last shard of one controller, so the move is an engine
-/// op marked as crossing the east-west boundary. Every sim run
+/// mirrors it with one [`RtController`] built over that many shards — one
+/// worker in the first and one in the last, so the move is an engine op
+/// marked as crossing the east-west boundary. Every sim run
 /// additionally answers to the path-consistency oracle: after a committed
 /// move, no switch may deliver a later-ingress packet to the old instance.
 pub const M_MULTI_SW: u32 = 1 << 11;
@@ -515,13 +515,13 @@ fn rt_move_spec(spec: &Spec) -> OpSpec {
 /// worker links; virtual plan time maps 1:1 onto nanoseconds since the
 /// controller armed the shim.
 ///
-/// A multi-switch spec runs on a [`ShardedRt`] with `spec.shards` shards —
-/// source NF in shard 0, destination in the last, the shards in between
-/// (chains longer than the shard count) own only trunk switches and so
-/// carry no workers — which makes the move a cross-shard op, the runtime
-/// mirror of the sim's sharded topology. The plan is armed on
-/// `spec.fault_shard` only, so on specs that draw a worker-less middle
-/// shard it is inert. That is acceptable for the differential: under
+/// A multi-switch spec runs on an [`RtController`] built over
+/// `spec.shards` shards — source NF in shard 0, destination in the last,
+/// the shards in between (chains longer than the shard count) own only
+/// trunk switches and so carry no workers — which makes the move a
+/// cross-shard op, the runtime mirror of the sim's sharded topology. The
+/// plan is armed on `spec.fault_shard` only, so on specs that draw a
+/// worker-less middle shard it is inert. That is acceptable for the differential: under
 /// faults only each side's own oracle and rerun-determinism are compared;
 /// fault-free specs — where digests and span sequences must agree — are
 /// unaffected.
@@ -531,25 +531,24 @@ pub fn run_rt(spec: &Spec) -> SideReport {
 
     let tel = Telemetry::wall();
     let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
-    let timeout = Duration::from_millis(400);
-    let (driven, harnesses, faults) = if spec.switches > 1 {
+    // One shard of two workers, or a multi-switch chain's shards with the
+    // source NF in the first and the destination in the last.
+    let (shards, fault_shard) = if spec.switches > 1 {
         let n_shards = spec.shards.max(2);
-        let mut shard_nfs: Vec<Vec<Box<dyn NetworkFunction>>> =
+        let mut shards: Vec<Vec<Box<dyn NetworkFunction>>> =
             (0..n_shards).map(|_| Vec::new()).collect();
-        shard_nfs[0].push(monitor());
-        shard_nfs[n_shards - 1].push(monitor());
-        let fault_shard = spec.fault_shard.min(n_shards - 1);
-        let (ctrl, faults) =
-            ShardedRt::new_with_faults_on(shard_nfs, spec.plan.clone(), fault_shard, tel.clone());
-        let mut ctrl = ctrl.with_reply_timeout(timeout);
-        (rt_drive(spec, &mut ctrl, &faults, trace), ctrl.shutdown(), faults)
+        shards[0].push(monitor());
+        shards[n_shards - 1].push(monitor());
+        (shards, spec.fault_shard.min(n_shards - 1))
     } else {
-        let nfs = vec![monitor(), monitor()];
-        let (ctrl, faults) =
-            RtController::new_with_faults_and_telemetry(nfs, spec.plan.clone(), tel.clone());
-        let mut ctrl = ctrl.with_reply_timeout(timeout);
-        (rt_drive(spec, &mut ctrl, &faults, trace), ctrl.shutdown(), faults)
+        (vec![vec![monitor(), monitor()]], 0)
     };
+    let plan = Some((spec.plan.clone(), fault_shard));
+    let (ctrl, faults) = RtController::build(shards, plan, tel.clone());
+    let faults = faults.expect("a plan was given");
+    let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(400));
+    let driven = rt_drive(spec, &mut ctrl, &faults, trace);
+    let harnesses = ctrl.shutdown();
     faults.join_pump();
     let (move_completed, mut excused, journal_json) = driven;
 
@@ -647,8 +646,7 @@ fn rt_drive(
         while faults.now() < Time(0) + spec.move_at {
             std::thread::sleep(Duration::from_micros(500));
         }
-        let move_result =
-            ctrl.run_ops(vec![rt_move_spec(spec)]).pop().expect("one spec in, one result out");
+        let move_result = ctrl.run_op(rt_move_spec(spec));
         (move_result.is_ok(), ctrl.abort_lost().to_vec())
     };
 

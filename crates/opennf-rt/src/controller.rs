@@ -16,7 +16,6 @@
 //! caller — like the simulator's failover app — decides how to recover.
 
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,10 +113,11 @@ pub struct RtController {
     pub(crate) workers: Vec<WorkerHandle>,
     /// The shared rule table generators route through.
     pub router: Arc<Router>,
-    /// Worker → shard, when a [`ShardedRt`](crate::ShardedRt) partitioned
-    /// the workers (empty when standalone). A shard is an ownership
-    /// domain, not a second engine: the partition decides which ops are
-    /// marked as crossing the east-west boundary, nothing else.
+    /// Worker → shard, as [`RtController::build`] partitioned the workers
+    /// (all 0 for a single shard). A shard is an ownership domain, not a
+    /// second engine: the partition decides which worker channels a fault
+    /// plan shims and which ops are marked as crossing the east-west
+    /// boundary, nothing else.
     pub(crate) shard_of: Vec<usize>,
     /// [`Router::lookups`] as last sampled, and when it was last seen to
     /// have moved — the origin of the post-flip quiet window. A change
@@ -188,45 +188,52 @@ pub(crate) enum Recv {
 }
 
 impl RtController {
-    /// Spawns one worker per NF; installs a default route to worker 0.
-    pub fn new(nfs: Vec<Box<dyn NetworkFunction>>) -> Self {
-        Self::new_with_telemetry(nfs, Telemetry::wall())
-    }
-
-    /// Like [`RtController::new`], but with a caller-supplied telemetry
-    /// handle (keep a clone to read spans/metrics during and after the
-    /// run).
+    /// [`RtController::build`] with one shard, no fault plan and `tel`
+    /// (keep a clone to read spans/metrics during and after the run). Kept
+    /// beside `build` because the repo benchmark constructs through it.
     pub fn new_with_telemetry(nfs: Vec<Box<dyn NetworkFunction>>, tel: Telemetry) -> Self {
-        Self::build(nfs, None, tel).0
+        Self::build(vec![nfs], None, tel).0
     }
 
-    /// Like [`RtController::new_with_telemetry`], but every channel —
-    /// controller → worker, router → worker, worker → controller — runs
-    /// through a [`FaultyChannel`] armed with `plan`; injected faults also
-    /// land in the flight recorder as `fault.*` events. Returns the shared
-    /// [`RtFaults`] so the caller can read the injected-fault ledger and
-    /// join the delay pump after shutdown.
-    pub fn new_with_faults_and_telemetry(
-        nfs: Vec<Box<dyn NetworkFunction>>,
-        plan: FaultPlan,
-        tel: Telemetry,
-    ) -> (Self, Arc<RtFaults>) {
-        let n = nfs.len();
-        let (ctrl, faults) = Self::build(nfs, Some((plan, 0..n)), tel);
-        (ctrl, faults.expect("fault plan was supplied"))
-    }
-
-    /// The one constructor: spawns the workers behind a rule table holding
-    /// the default route to worker 0. With a `plan`, the workers in its
-    /// range — the fault domain — get every channel (uplink, controller
-    /// link, data link, P2P dials) shimmed, each addressed as
-    /// [`worker_node`] of its index.
-    pub(crate) fn build(
-        nfs: Vec<Box<dyn NetworkFunction>>,
-        plan: Option<(FaultPlan, Range<usize>)>,
+    /// The one constructor: spawns one worker per NF behind a rule table
+    /// holding the default route to worker 0. Each inner vector of
+    /// `shards` is one shard's NFs; workers are numbered shard-major
+    /// (shard 0's first, then shard 1's, …), and that global index is the
+    /// one every other method takes. A single shard is `vec![nfs]`.
+    ///
+    /// With `faults = Some((plan, k))`, shard `k` is the fault domain:
+    /// every channel of its workers (uplink, controller link, data link,
+    /// P2P dials) runs through a [`FaultyChannel`] armed with `plan`, each
+    /// addressed as [`worker_node`] of its global index, and injected
+    /// faults land in the flight recorder as `fault.*` events. A
+    /// worker-less fault shard leaves the plan inert. Returns the shared
+    /// [`RtFaults`] ledger (read it, and join its delay pump after
+    /// shutdown) when a plan was given.
+    ///
+    /// An op whose endpoints lie in different shards is an ordinary engine
+    /// op, marked `ew.handoff` at admission and `ew.release` next to its
+    /// terminal journal record — what the happens-before oracle pairs.
+    pub fn build(
+        shards: Vec<Vec<Box<dyn NetworkFunction>>>,
+        faults: Option<(FaultPlan, usize)>,
         tel: Telemetry,
     ) -> (Self, Option<Arc<RtFaults>>) {
-        let (plan, domain) = plan.map_or((None, 0..0), |(plan, domain)| (Some(plan), domain));
+        assert!(!shards.is_empty(), "at least one shard");
+        let shard_of: Vec<usize> = shards
+            .iter()
+            .enumerate()
+            .flat_map(|(k, nfs)| std::iter::repeat_n(k, nfs.len()))
+            .collect();
+        // The fault domain: the fault shard's range of global indices.
+        let (plan, domain) = match faults {
+            Some((plan, k)) => {
+                assert!(k < shards.len(), "fault shard exists");
+                let first = shard_of.partition_point(|&s| s < k);
+                (Some(plan), first..first + shards[k].len())
+            }
+            None => (None, 0..0),
+        };
+        let nfs: Vec<Box<dyn NetworkFunction>> = shards.into_iter().flatten().collect();
         let faults = plan.map(|plan| {
             let (faults, pump) = RtFaults::arm(plan);
             faults.set_telemetry(tel.clone());
@@ -287,7 +294,7 @@ impl RtController {
             lookups_seen: router.lookups(),
             lookups_seen_at: Instant::now(),
             router,
-            shard_of: Vec::new(),
+            shard_of,
             from_workers,
             to_ctrl,
             next_id: 1,
@@ -651,62 +658,13 @@ impl RtController {
         self.crashed
     }
 
-    /// Executes a loss-free move of per-flow state matching `filter` from
-    /// worker `src` to worker `dst` (§5.1.1), while traffic keeps flowing:
-    ///
-    /// 1. `enableEvents(filter, drop)` at src;
-    /// 2. streamed `getPerflow` at src pipelined into `putPerflow` batches
-    ///    at dst, then `delPerflow` at src;
-    /// 3. replay buffered event packets to dst (marked do-not-buffer);
-    /// 4. flip the router to dst.
-    ///
-    /// This is the one-op form of [`RtController::run_ops`]: the same
-    /// pipelined state machine drives it, so a single move and a k-move
-    /// batch take exactly the same journaled path. On failure the error
-    /// names the faulty worker; the router still points wherever it
-    /// pointed before the failing step, so the caller can re-route
-    /// (failover) or retry.
-    pub fn move_flows_lossfree(
-        &mut self,
-        src: usize,
-        dst: usize,
-        filter: Filter,
-    ) -> Result<MoveStats, RtError> {
-        self.run_ops(vec![crate::engine::OpSpec::mv(src, dst, filter)])
-            .pop()
-            .expect("one spec in, one result out")
-    }
-
-    /// Clones per-flow state matching `filter` from worker `src` to
-    /// worker `dst` without disturbing the source (§5.2): no event
-    /// arming, no delete, no route change — the source keeps processing
-    /// and keeps its state throughout. One-op form of
-    /// [`RtController::run_ops`] with a copy spec.
-    pub fn copy_flows(
-        &mut self,
-        src: usize,
-        dst: usize,
-        filter: Filter,
-    ) -> Result<MoveStats, RtError> {
-        self.run_ops(vec![crate::engine::OpSpec::copy(src, dst, filter)])
-            .pop()
-            .expect("one spec in, one result out")
-    }
-
-    /// Seeds a replica of per-flow state matching `filter` at worker
-    /// `dst` (§5.2 share): events are armed at `src` for the duration of
-    /// the initial sync and replayed back to `src` afterwards, so no
-    /// update raised mid-sync is lost. One-op form of
-    /// [`RtController::run_ops`] with a share spec.
-    pub fn share_flows(
-        &mut self,
-        src: usize,
-        dst: usize,
-        filter: Filter,
-    ) -> Result<MoveStats, RtError> {
-        self.run_ops(vec![crate::engine::OpSpec::share(src, dst, filter)])
-            .pop()
-            .expect("one spec in, one result out")
+    /// Runs one op: the one-element [`RtController::run_ops`], so a single
+    /// op and a k-op batch take exactly the same admitted, journaled path.
+    /// On failure the error names the faulty worker; the router still
+    /// points wherever it pointed before the failing step, so the caller
+    /// can re-route (failover) or retry.
+    pub fn run_op(&mut self, spec: OpSpec) -> Result<MoveStats, RtError> {
+        self.run_ops(vec![spec]).pop().expect("one spec in, one result out")
     }
 
     /// Uids the last move explicitly gave up on (abort accounting).
@@ -714,21 +672,15 @@ impl RtController {
         &self.last_abort_lost
     }
 
-    /// Executes a loss-free move whose bulk state transfer goes *directly*
-    /// from `src` to `dst` (footnote 10) instead of relaying through the
-    /// controller. One-op form of [`RtController::run_ops`] with an
-    /// [`OpSpec::mv_p2p`](crate::engine::OpSpec::mv_p2p) spec: the same
-    /// admitted, journaled engine move as
-    /// [`RtController::move_flows_lossfree`], in the other transfer mode.
+    /// `run_op(OpSpec::mv_p2p(src, dst, filter))`, kept because the repo
+    /// benchmark calls it.
     pub fn move_flows_p2p(
         &mut self,
         src: usize,
         dst: usize,
         filter: Filter,
     ) -> Result<MoveStats, RtError> {
-        self.run_ops(vec![crate::engine::OpSpec::mv_p2p(src, dst, filter)])
-            .pop()
-            .expect("one spec in, one result out")
+        self.run_op(OpSpec::mv_p2p(src, dst, filter))
     }
 
     /// Shuts all workers down and returns their harnesses in index order.
@@ -759,117 +711,77 @@ mod tests {
         .build()
     }
 
-    #[test]
-    fn lossfree_move_under_live_traffic() {
-        let mut ctrl = RtController::new(vec![
-            Box::new(AssetMonitor::new()),
-            Box::new(AssetMonitor::new()),
-        ]);
-
-        // Generator thread: 2000 packets over 40 flows, ~50 µs apart,
-        // routing through the shared router the whole time.
-        let router = ctrl.router.clone();
-        let tx0 = ctrl.worker_tx(0);
-        let tx1 = ctrl.worker_tx(1);
-        let sent = Arc::new(AtomicU64::new(0));
-        let sent_gen = sent.clone();
-        let gen = std::thread::spawn(move || {
-            let txs = [tx0, tx1];
-            for uid in 1..=2_000u64 {
-                let p = pkt(uid, (uid % 40) as u16);
-                if let Some(w) = router.route(&p) {
-                    let _ = txs[w].send(WireMsg::Packet { packet: p }.to_json());
-                }
-                sent_gen.store(uid, Ordering::Release);
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        });
-
-        // Rendezvous on packets actually sent, not wall time: once 200
-        // packets are enqueued, every flow's SYN is queued ahead of the
-        // move's first southbound request (the channel is FIFO), so all
-        // 40 flows have state at the source when the export runs.
-        while sent.load(Ordering::Acquire) < 200 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
-        assert_eq!(stats.chunks, 40, "all 40 flows moved");
-        assert!(stats.bytes > 0);
-
-        gen.join().unwrap();
-        // Allow the last packets to drain.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let harnesses = ctrl.shutdown();
-
-        // Loss-freedom: every generated packet was processed exactly once
-        // (drops at src were replayed to dst via events).
-        let h0 = &harnesses[0];
-        let h1 = &harnesses[1];
-        let mut all: Vec<u64> = h0.processed_log().iter().chain(h1.processed_log()).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(
-            all.len(),
-            h0.processed_log().len() + h1.processed_log().len(),
-            "no packet processed twice"
-        );
-        assert_eq!(all.len(), 2_000, "every packet processed exactly once");
-        assert!(!h1.processed_log().is_empty(), "destination took over");
-        // The destination holds all flow state.
-        let any: &dyn std::any::Any = h1.nf();
-        let m1 = any.downcast_ref::<AssetMonitor>().unwrap();
-        assert_eq!(m1.conn_count(), 40);
+    fn wall(nfs: Vec<Box<dyn NetworkFunction>>) -> RtController {
+        RtController::new_with_telemetry(nfs, Telemetry::wall())
     }
 
-    #[test]
-    fn p2p_move_under_live_traffic_is_loss_free() {
-        let mut ctrl = RtController::new(vec![
-            Box::new(AssetMonitor::new()),
-            Box::new(AssetMonitor::new()),
-        ]);
-        let router = ctrl.router.clone();
-        let tx0 = ctrl.worker_tx(0);
-        let tx1 = ctrl.worker_tx(1);
-        let sent = Arc::new(AtomicU64::new(0));
-        let sent_gen = sent.clone();
-        let gen = std::thread::spawn(move || {
-            let txs = [tx0, tx1];
-            for uid in 1..=2_000u64 {
-                let p = pkt(uid, (uid % 40) as u16);
-                if let Some(w) = router.route(&p) {
-                    let _ = txs[w].send(WireMsg::Packet { packet: p }.to_json());
-                }
-                sent_gen.store(uid, Ordering::Release);
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        });
-        while sent.load(Ordering::Acquire) < 200 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let stats = ctrl.move_flows_p2p(0, 1, Filter::any()).expect("p2p move succeeds");
-        assert_eq!(stats.chunks, 40, "all 40 flows transferred directly");
-        assert!(stats.bytes > 0);
+    fn conn_counts(harnesses: &[EventedNf]) -> Vec<usize> {
+        harnesses
+            .iter()
+            .map(|h| {
+                let any: &dyn std::any::Any = h.nf();
+                any.downcast_ref::<AssetMonitor>().unwrap().conn_count()
+            })
+            .collect()
+    }
 
-        gen.join().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let harnesses = ctrl.shutdown();
-        let (h0, h1) = (&harnesses[0], &harnesses[1]);
-        let mut all: Vec<u64> =
-            h0.processed_log().iter().chain(h1.processed_log()).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(
-            all.len(),
-            h0.processed_log().len() + h1.processed_log().len(),
-            "no packet processed twice"
-        );
-        assert_eq!(all.len(), 2_000, "every packet processed exactly once");
-        // Copy-then-delete completed: the source holds nothing, the
-        // destination holds all 40 flows.
-        let any: &dyn std::any::Any = h0.nf();
-        assert_eq!(any.downcast_ref::<AssetMonitor>().unwrap().conn_count(), 0);
-        let any: &dyn std::any::Any = h1.nf();
-        assert_eq!(any.downcast_ref::<AssetMonitor>().unwrap().conn_count(), 40);
+    /// Either transfer mode, under live traffic: every packet is processed
+    /// exactly once (drops at the source are replayed to the destination
+    /// via events), and the destination ends up with all the state.
+    #[test]
+    fn move_under_live_traffic_is_loss_free_in_both_modes() {
+        for (mode, mv) in [("relayed", OpSpec::mv as fn(_, _, _) -> _), ("p2p", OpSpec::mv_p2p)] {
+            let mut ctrl =
+                wall(vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())]);
+
+            // Generator thread: 2000 packets over 40 flows, ~50 µs apart,
+            // routing through the shared router the whole time.
+            let router = ctrl.router.clone();
+            let txs = [ctrl.worker_tx(0), ctrl.worker_tx(1)];
+            let sent = Arc::new(AtomicU64::new(0));
+            let sent_gen = sent.clone();
+            let gen = std::thread::spawn(move || {
+                for uid in 1..=2_000u64 {
+                    let p = pkt(uid, (uid % 40) as u16);
+                    if let Some(w) = router.route(&p) {
+                        let _ = txs[w].send(WireMsg::Packet { packet: p }.to_json());
+                    }
+                    sent_gen.store(uid, Ordering::Release);
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            });
+
+            // Rendezvous on packets actually sent, not wall time: once 200
+            // packets are enqueued, every flow's SYN is queued ahead of the
+            // move's first southbound request (the channel is FIFO), so
+            // all 40 flows have state at the source when the export runs.
+            while sent.load(Ordering::Acquire) < 200 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let stats = ctrl.run_op(mv(0, 1, Filter::any())).expect("move succeeds");
+            assert_eq!(stats.chunks, 40, "{mode}: all 40 flows moved");
+            assert!(stats.bytes > 0);
+
+            gen.join().unwrap();
+            // Allow the last packets to drain.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let harnesses = ctrl.shutdown();
+            let (h0, h1) = (&harnesses[0], &harnesses[1]);
+            let mut all: Vec<u64> =
+                h0.processed_log().iter().chain(h1.processed_log()).copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(
+                all.len(),
+                h0.processed_log().len() + h1.processed_log().len(),
+                "{mode}: no packet processed twice"
+            );
+            assert_eq!(all.len(), 2_000, "{mode}: every packet processed exactly once");
+            assert!(!h1.processed_log().is_empty(), "{mode}: destination took over");
+            // Copy-then-delete completed: the source holds nothing, the
+            // destination holds all 40 flows.
+            assert_eq!(conn_counts(&harnesses), [0, 40], "{mode}");
+        }
     }
 
     #[test]
@@ -909,7 +821,7 @@ mod tests {
             ctrl.inject(pkt(uid, (uid % 4) as u16)).unwrap();
         }
         ctrl.quiesce(0).unwrap();
-        ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+        ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("move succeeds");
         assert_eq!(
             tel.span_sequence("move."),
             ["move.export", "move.transfer", "move.import", "move.flush", "move.fwd_update"],
@@ -920,16 +832,13 @@ mod tests {
 
     #[test]
     fn move_surfaces_source_nf_failure_as_typed_error() {
-        let mut ctrl = RtController::new(vec![
-            Box::new(PanicNf::new(7)),
-            Box::new(AssetMonitor::new()),
-        ]);
+        let mut ctrl = wall(vec![Box::new(PanicNf::new(7)), Box::new(AssetMonitor::new())]);
         // The faulting packet is queued ahead of the move's requests, so
         // the source dies before (or while) answering them.
         for uid in 1..=7u64 {
             ctrl.inject(pkt(uid, (uid % 4) as u16)).expect("worker alive at enqueue time");
         }
-        let res = ctrl.move_flows_lossfree(0, 1, Filter::any());
+        let res = ctrl.run_op(OpSpec::mv(0, 1, Filter::any()));
         match res {
             Err(RtError::NfFailed { worker: 0, reason }) => {
                 assert!(reason.contains("injected NF bug"), "reason: {reason}");
@@ -971,7 +880,7 @@ mod tests {
         for op in 1..=200u64 {
             let (src, dst) = if op % 2 == 1 { (0, 1) } else { (1, 0) };
             let first = ctrl.next_id;
-            let stats = ctrl.move_flows_lossfree(src, dst, Filter::any()).expect("move succeeds");
+            let stats = ctrl.run_op(OpSpec::mv(src, dst, Filter::any())).expect("move succeeds");
             assert_eq!(stats.chunks, 20, "op {op} moves every flow");
             per_op = per_op.max(ctrl.next_id - first);
             if op == 10 {
@@ -1001,22 +910,117 @@ mod tests {
             opennf_util::Time::ZERO,
             opennf_util::Time(u64::MAX),
         );
-        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-            vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
-            plan,
+        let (ctrl, faults) = RtController::build(
+            vec![vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())]],
+            Some((plan, 0)),
             Telemetry::wall(),
         );
         let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(100));
+        let faults = faults.expect("a plan was given");
         let stream_id = ctrl.next_id;
-        let res = ctrl.copy_flows(0, 1, Filter::any());
+        let res = ctrl.run_op(OpSpec::copy(0, 1, Filter::any()));
         assert_eq!(res.unwrap_err(), RtError::Timeout { id: stream_id });
         ctrl.shutdown();
         faults.join_pump();
     }
 
+    /// Specs the controller cannot run are turned away at submission with
+    /// a typed error and no op id; a valid move in the same batch commits.
+    #[test]
+    fn invalid_specs_are_rejected_and_the_rest_of_the_batch_runs() {
+        let mut ctrl = wall(vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())]);
+        for uid in 1..=20u64 {
+            ctrl.inject(pkt(uid, uid as u16)).unwrap();
+        }
+        ctrl.quiesce(0).unwrap();
+        let cases = [
+            ("self-move", OpSpec::mv(0, 0, Filter::any()), false),
+            ("self-copy", OpSpec::copy(0, 0, Filter::any()), false),
+            ("valid move", OpSpec::mv(0, 1, Filter::any()), true),
+            ("missing destination", OpSpec::mv(0, 5, Filter::any()), false),
+            ("missing source", OpSpec::mv_p2p(7, 1, Filter::any()), false),
+            ("self-share", OpSpec::share(1, 1, Filter::any()), false),
+        ];
+        let results = ctrl.run_ops(cases.iter().map(|&(_, spec, _)| spec).collect());
+        for (&(case, _, valid), res) in cases.iter().zip(&results) {
+            match res {
+                Ok(stats) => assert!(valid && stats.chunks == 20, "{case}: {stats:?}"),
+                Err(e) => assert!(!valid && matches!(e, RtError::InvalidOp(_)), "{case}: {e}"),
+            }
+        }
+        let ops: Vec<(OpId, JournalPhase)> =
+            ctrl.journal().records.iter().map(|r| (r.op, r.phase)).collect();
+        assert!(ops.iter().all(|&(op, _)| op == OpId(1)), "only the valid move has an op id");
+        assert_eq!(ops.last(), Some(&(OpId(1), JournalPhase::Committed)));
+        let counts = conn_counts(&ctrl.shutdown());
+        assert_eq!(counts, [0, 20], "the state moved once, and nothing deleted it");
+    }
+
+    /// Three shards of one, no and one worker, with a drop-everything plan
+    /// on shard `fault_shard`.
+    fn drop_all_on(fault_shard: usize) -> (RtController, Arc<RtFaults>) {
+        let plan = FaultPlan::new(1).link(
+            None,
+            None,
+            opennf_util::Time::ZERO,
+            opennf_util::Time(u64::MAX),
+            1000,
+            opennf_util::FaultKind::Drop,
+        );
+        let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+        let shards = vec![vec![monitor()], vec![], vec![monitor()]];
+        let (ctrl, faults) =
+            RtController::build(shards, Some((plan, fault_shard)), Telemetry::wall());
+        (ctrl, faults.expect("a plan was given"))
+    }
+
+    #[test]
+    fn fault_domain_is_the_fault_shards_global_workers() {
+        // Shard 2 holds global worker 1: only its links are shimmed.
+        let (mut ctrl, faults) = drop_all_on(2);
+        assert!(!ctrl.ctrl_links[0].is_shimmed() && !ctrl.data_links[0].is_shimmed());
+        assert!(ctrl.ctrl_links[1].is_shimmed() && ctrl.data_links[1].is_shimmed());
+        for (w, uid) in [(0, 1), (1, 2)] {
+            ctrl.data_tx(w).send(&WireMsg::Packet { packet: pkt(uid, 0) }).unwrap();
+        }
+        ctrl.send(1, WireCall::GetAllflows, Via::Link, 0).unwrap();
+        ctrl.quiesce(0).expect("worker 0 is outside the fault domain");
+        let ledger = faults.ledger();
+        let w1 = worker_node(1);
+        let dropped: Vec<_> = ledger
+            .log
+            .iter()
+            .map(|ev| match *ev {
+                opennf_util::FaultEvent::Dropped { src, dst, .. } => (src, dst),
+                ref other => panic!("only drops were planned: {other:?}"),
+            })
+            .collect();
+        assert_eq!(dropped, [(ROUTER_NODE, w1), (CTRL_NODE, w1)], "drops on worker 1's links");
+        assert_eq!(ledger.lost_sorted(), [2]);
+        let harnesses = ctrl.shutdown();
+        faults.join_pump();
+        assert_eq!(harnesses[0].processed_log(), [1]);
+        assert!(harnesses[1].processed_log().is_empty());
+    }
+
+    #[test]
+    fn a_worker_less_fault_shard_leaves_the_plan_inert() {
+        let (mut ctrl, faults) = drop_all_on(1);
+        assert!(ctrl.ctrl_links.iter().chain(&ctrl.data_links).all(|l| !l.is_shimmed()));
+        for uid in 1..=20u64 {
+            ctrl.inject(pkt(uid, uid as u16)).unwrap();
+        }
+        ctrl.quiesce(0).unwrap();
+        let stats = ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("the move commits");
+        assert_eq!(stats.chunks, 20);
+        ctrl.shutdown();
+        faults.join_pump();
+        assert!(faults.ledger().log.is_empty(), "nothing was injected");
+    }
+
     #[test]
     fn quiesce_ignores_an_undecodable_frame() {
-        let mut ctrl = RtController::new(vec![Box::new(AssetMonitor::new())]);
+        let mut ctrl = wall(vec![Box::new(AssetMonitor::new())]);
         ctrl.ctrl_tx().send("not a frame".into()).unwrap();
         ctrl.quiesce(0).expect("a frame no one can claim does not fail the barrier");
         assert_eq!(ctrl.tel.counter("rt.frames.bad").load(Ordering::Relaxed), 1);
@@ -1025,8 +1029,7 @@ mod tests {
 
     #[test]
     fn quiesce_fails_only_for_its_own_worker() {
-        let mut ctrl =
-            RtController::new(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(1))]);
+        let mut ctrl = wall(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(1))]);
         ctrl.worker_tx(1).send(WireMsg::Packet { packet: pkt(1, 0) }.to_json()).unwrap();
         // Worker 1 reports its failure and exits, closing its channel:
         // its report is queued for the controller before worker 0 is asked.

@@ -168,6 +168,21 @@ impl OpSpec {
         OpSpec { src, dst, filter, kind: OpClass::Share, p2p: false }
     }
 
+    /// Rejects what no controller of `workers` workers can run: an op
+    /// from a worker to itself (a move would delete the state it just
+    /// put) or one naming a worker that does not exist.
+    fn check(&self, workers: usize) -> Result<(), RtError> {
+        let (src, dst, kind) = (self.src, self.dst, self.kind.name());
+        let why = if src >= workers || dst >= workers {
+            format!("{kind} {src}->{dst} names a worker beyond the {workers} there are")
+        } else if src == dst {
+            format!("{kind} {src}->{dst} has the same source and destination")
+        } else {
+            return Ok(());
+        };
+        Err(RtError::InvalidOp(why))
+    }
+
     /// The op's name in its [`OpReport`].
     fn label(&self) -> &'static str {
         match self.kind {
@@ -419,14 +434,20 @@ impl RtController {
     /// scheduler existed. Each op journals its phase boundaries, so a
     /// crash mid-batch leaves a recoverable ledger
     /// ([`RtController::recover`]) for moves, copies, and shares alike.
+    /// A spec naming a missing worker, or the same worker at both ends,
+    /// is rejected with [`RtError::InvalidOp`] before it gets an op id;
+    /// the rest of the batch runs as if it had not been submitted.
     pub fn run_ops(&mut self, specs: Vec<OpSpec>) -> Vec<Result<MoveStats, RtError>> {
         self.last_abort_lost.clear();
         let now = Instant::now();
         let now_ns = self.tel.now_ns();
-        let mut tasks: Vec<OpTask> = specs
+        let workers = self.workers.len();
+        let mut tasks: Vec<OpTask> = Vec::with_capacity(specs.len());
+        // Per spec: admitted as the next task, or rejected with this error.
+        let admitted: Vec<Result<(), RtError>> = specs
             .into_iter()
-            .enumerate()
-            .map(|(i, spec)| {
+            .map(|spec| {
+                spec.check(workers)?;
                 let op = self.mint_op();
                 self.tel.event(
                     "engine.op_submitted",
@@ -438,26 +459,29 @@ impl RtController {
                         spec.dst
                     )),
                 );
+                let seq = tasks.len() as u64;
                 // The queue-depth gauge moves on submission too, not just
                 // inside the admission sweep, so a burst of submits is
                 // visible even before anything is admitted.
-                self.tel.gauge_set("engine.queue_depth", i as u64 + 1);
+                self.tel.gauge_set("engine.queue_depth", seq + 1);
                 let report = OpReport::new(op, spec.label().into(), self.tel.now_ns());
-                OpTask::new(spec, op, report, i as u64, now, now_ns)
+                tasks.push(OpTask::new(spec, op, report, seq, now, now_ns));
+                Ok(())
             })
             .collect();
         self.drive(&mut tasks, &mut Locks::default());
-        tasks
+        let mut outcomes = tasks.into_iter().map(|t| match t.err {
+            Some(e) => Err(e),
+            None => Ok(MoveStats {
+                chunks: t.chunks,
+                bytes: t.bytes,
+                events_replayed: t.replayed,
+                duration: t.duration,
+            }),
+        });
+        admitted
             .into_iter()
-            .map(|t| match t.err {
-                Some(e) => Err(e),
-                None => Ok(MoveStats {
-                    chunks: t.chunks,
-                    bytes: t.bytes,
-                    events_replayed: t.replayed,
-                    duration: t.duration,
-                }),
-            })
+            .map(|a| a.and_then(|()| outcomes.next().expect("one outcome per admitted spec")))
             .collect()
     }
 

@@ -38,6 +38,10 @@ pub enum RtError {
     /// op fails with this; [`crate::RtController::recover`] then drives
     /// each one to a terminal phase from its journal.
     CtrlCrashed,
+    /// A submitted op the controller cannot run — its source and
+    /// destination are the same worker, or it names a worker that does not
+    /// exist. Rejected before it gets an op id; nothing is journaled.
+    InvalidOp(String),
 }
 
 impl fmt::Display for RtError {
@@ -51,6 +55,7 @@ impl fmt::Display for RtError {
                 write!(f, "NF at worker {worker} failed: {reason}")
             }
             RtError::CtrlCrashed => write!(f, "controller crashed mid-operation"),
+            RtError::InvalidOp(why) => write!(f, "invalid op: {why}"),
         }
     }
 }

@@ -15,7 +15,12 @@
 //! The runtime demonstrates that the loss-free move protocol holds under
 //! genuine races (threads, not virtual time): packets keep flowing while
 //! state moves, and every packet is processed exactly once.
-
+//!
+//! One controller is built one way, [`RtController::build`], from the
+//! partition of its NFs into shards (a single shard is `vec![nfs]`) and an
+//! optional fault plan on one shard; ops are submitted one way, as
+//! [`OpSpec`]s to [`RtController::run_ops`] (or [`RtController::run_op`]
+//! for one).
 //!
 //! Failures are first-class: NF panics are caught inside the worker and
 //! reported as [`WireEvent::NfFailed`], channel deaths and reply timeouts
@@ -30,7 +35,6 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod router;
-pub mod shards;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod wire;
@@ -41,9 +45,8 @@ pub use engine::OpSpec;
 pub use error::RtError;
 pub use faults::{worker_node, FaultLedger, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 pub use router::Router;
-pub use shards::ShardedRt;
 pub use wire::{WireCall, WireEvent, WireMsg, WireReply};
-pub use worker::{spawn_worker, spawn_worker_faulty, PeerMesh, WorkerHandle};
+pub use worker::{spawn_worker, PeerMesh, WorkerHandle};
 
 // The rt controller journals through the same ledger types the simulator's
 // controller uses; re-exported so harnesses need only one import path.

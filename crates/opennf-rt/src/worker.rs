@@ -148,28 +148,19 @@ impl WorkerHandle {
 
 /// Spawns a worker thread for `nf`. All controller-bound traffic
 /// (responses and events) goes to `to_ctrl` as JSON — a plain sender,
-/// unshimmed. Fault-armed runs use [`spawn_worker_faulty`].
+/// unshimmed. No peer links: P2P transfer requests fail.
 pub fn spawn_worker(
     index: usize,
     nf: Box<dyn NetworkFunction>,
     to_ctrl: Sender<String>,
 ) -> WorkerHandle {
-    spawn_worker_faulty(index, nf, FaultyChannel::passthrough(to_ctrl))
-}
-
-/// Spawns a worker whose controller-bound link runs through the fault
-/// shim (or a passthrough). No peer links: P2P transfer requests fail.
-pub fn spawn_worker_faulty(
-    index: usize,
-    nf: Box<dyn NetworkFunction>,
-    to_ctrl: FaultyChannel,
-) -> WorkerHandle {
-    spawn_worker_full(index, nf, to_ctrl, PeerMesh::unwired(), Telemetry::disabled())
+    let up = FaultyChannel::passthrough(to_ctrl);
+    spawn_worker_full(index, nf, up, PeerMesh::unwired(), Telemetry::disabled())
 }
 
 /// Spawns a worker with a (late-bound) peer mesh for P2P bulk transfer and
 /// a telemetry handle for its hot-path counters.
-pub fn spawn_worker_full(
+pub(crate) fn spawn_worker_full(
     index: usize,
     nf: Box<dyn NetworkFunction>,
     to_ctrl: FaultyChannel,

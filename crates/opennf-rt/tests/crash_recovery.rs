@@ -22,7 +22,8 @@ use opennf_controller::{JournalPhase, OpId};
 use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
-use opennf_rt::{OpSpec, RtController, RtError, ShardedRt, WireMsg};
+use opennf_rt::{OpSpec, RtController, RtError, WireMsg};
+use opennf_telemetry::Telemetry;
 
 const FLOWS: u32 = 30;
 
@@ -40,50 +41,19 @@ fn monitor() -> Box<dyn NetworkFunction> {
     Box::new(AssetMonitor::new())
 }
 
-fn load(ctrl: &mut RtController) {
+/// The two loaded monitors in one shard, or one in each of two shards.
+fn loaded(sharded: bool) -> RtController {
+    let shards = if sharded {
+        vec![vec![monitor()], vec![monitor()]]
+    } else {
+        vec![vec![monitor(), monitor()]]
+    };
+    let mut ctrl = RtController::build(shards, None, Telemetry::wall()).0;
     for f in 0..FLOWS {
         ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
     }
     ctrl.quiesce(0).expect("worker alive");
-}
-
-fn loaded_controller() -> RtController {
-    let mut ctrl = RtController::new(vec![monitor(), monitor()]);
-    load(&mut ctrl);
     ctrl
-}
-
-/// The two loaded monitors under either control plane: one standalone
-/// controller, or one worker in each of two shards.
-enum Topo {
-    Single(RtController),
-    Sharded(ShardedRt),
-}
-
-impl Topo {
-    fn loaded(sharded: bool) -> Topo {
-        if sharded {
-            let mut ctrl = ShardedRt::new(vec![vec![monitor()], vec![monitor()]]);
-            load(&mut ctrl);
-            Topo::Sharded(ctrl)
-        } else {
-            Topo::Single(loaded_controller())
-        }
-    }
-
-    fn ctrl(&mut self) -> &mut RtController {
-        match self {
-            Topo::Single(c) => c,
-            Topo::Sharded(s) => s,
-        }
-    }
-
-    fn shutdown(self) -> Vec<EventedNf> {
-        match self {
-            Topo::Single(c) => c.shutdown(),
-            Topo::Sharded(s) => s.shutdown(),
-        }
-    }
 }
 
 /// A recovered op is an engine op: its journal records climb strictly
@@ -165,14 +135,13 @@ fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, for
     const PROBE: u64 = 9_999;
     let case = format!("{mode} {phase:?}{}", if sharded { " cross-shard" } else { "" });
     let crashed_and_recovered = || {
-        let mut topo = Topo::loaded(sharded);
-        let ctrl = topo.ctrl();
+        let mut ctrl = loaded(sharded);
         ctrl.crash_after(phase);
-        let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
+        let res = ctrl.run_op(mv(0, 1, Filter::any()));
         assert!(
-            matches!(res[0], Err(RtError::CtrlCrashed)),
+            matches!(res, Err(RtError::CtrlCrashed)),
             "{case}: crashed op must fail with CtrlCrashed, got {:?}",
-            res[0]
+            res
         );
         assert!(ctrl.is_crashed(), "{case}: crash hook fired");
 
@@ -184,7 +153,7 @@ fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, for
         assert_eq!(last.phase, expected, "{case}: journal ends terminal");
         assert!(ctrl.journal().in_flight().is_empty(), "{case}: nothing left in flight");
         assert!(!ctrl.is_crashed(), "{case}: recovery clears the crash flag");
-        assert_resumed_by_engine(ctrl, 1, forward, &case);
+        assert_resumed_by_engine(&ctrl, 1, forward, &case);
 
         let recs = ctrl.telemetry().records();
         let marks: Vec<_> = recs
@@ -202,18 +171,17 @@ fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, for
         } else {
             assert!(marks.is_empty(), "{case}: nothing crossed a shard");
         }
-        topo
+        ctrl
     };
 
     // Where recovery itself left the state — and the source's event
     // filter is gone: a packet of a new flow sent there is processed.
-    let mut topo = crashed_and_recovered();
-    let ctrl = topo.ctrl();
+    let mut ctrl = crashed_and_recovered();
     ctrl.worker_tx(0)
         .send(WireMsg::Packet { packet: pkt(PROBE, FLOWS) }.to_json())
         .expect("worker alive");
     ctrl.quiesce(0).expect("worker alive");
-    let harnesses = topo.shutdown();
+    let harnesses = ctrl.shutdown();
     assert!(
         harnesses[0].processed_log().contains(&PROBE),
         "{case}: the source processes packets again"
@@ -227,18 +195,16 @@ fn crash_and_recover(sharded: bool, mode: &str, mv: Mv, phase: JournalPhase, for
 
     // The controller survives recovery: the follow-up move (from
     // wherever recovery left the state) completes normally.
-    let mut topo = crashed_and_recovered();
+    let mut ctrl = crashed_and_recovered();
     let (src, dst) = if forward { (1, 0) } else { (0, 1) };
-    let stats = topo
-        .ctrl()
-        .run_ops(vec![mv(src, dst, Filter::any())])
-        .remove(0)
+    let stats = ctrl
+        .run_op(mv(src, dst, Filter::any()))
         .unwrap_or_else(|e| panic!("{case}: post-recovery move failed: {e}"));
     assert_eq!(stats.chunks, FLOWS as usize, "{case}: post-recovery move is whole");
 
     // The follow-up move put everything at `dst`; nothing was lost
     // or duplicated by the crash + recovery + re-move sequence.
-    let (m0, m1) = conn_counts(topo.shutdown());
+    let (m0, m1) = conn_counts(ctrl.shutdown());
     let (at_dst, at_src) = if dst == 1 { (m1, m0) } else { (m0, m1) };
     assert_eq!(at_dst, FLOWS as usize, "{case}: all flows at final dst");
     assert_eq!(at_src, 0, "{case}: final src fully released");
@@ -258,13 +224,13 @@ fn copy_crash_at_each_boundary_recovers_nondestructively() {
         (JournalPhase::Transferred, true),
     ];
     for (phase, forward) in phases {
-        let mut ctrl = loaded_controller();
+        let mut ctrl = loaded(false);
         ctrl.crash_after(phase);
-        let res = ctrl.run_ops(vec![OpSpec::copy(0, 1, Filter::any())]);
+        let res = ctrl.run_op(OpSpec::copy(0, 1, Filter::any()));
         assert!(
-            matches!(res[0], Err(RtError::CtrlCrashed)),
+            matches!(res, Err(RtError::CtrlCrashed)),
             "{phase:?}: crashed copy must fail with CtrlCrashed, got {:?}",
-            res[0]
+            res
         );
 
         let outcomes = ctrl.recover();
@@ -276,7 +242,7 @@ fn copy_crash_at_each_boundary_recovers_nondestructively() {
 
         // The controller survives: a fresh full copy completes.
         let stats = ctrl
-            .copy_flows(0, 1, Filter::any())
+            .run_op(OpSpec::copy(0, 1, Filter::any()))
             .unwrap_or_else(|e| panic!("{phase:?}: post-recovery copy failed: {e}"));
         assert_eq!(stats.chunks, FLOWS as usize, "{phase:?}: post-recovery copy is whole");
 
@@ -301,13 +267,13 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
         (JournalPhase::Transferred, true),
     ];
     for (phase, forward) in phases {
-        let mut ctrl = loaded_controller();
+        let mut ctrl = loaded(false);
         ctrl.crash_after(phase);
-        let res = ctrl.run_ops(vec![OpSpec::share(0, 1, Filter::any())]);
+        let res = ctrl.run_op(OpSpec::share(0, 1, Filter::any()));
         assert!(
-            matches!(res[0], Err(RtError::CtrlCrashed)),
+            matches!(res, Err(RtError::CtrlCrashed)),
             "{phase:?}: crashed share must fail with CtrlCrashed, got {:?}",
-            res[0]
+            res
         );
 
         let outcomes = ctrl.recover();
@@ -321,8 +287,7 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
         // The event filter is torn down either way: a follow-up move
         // (which arms its own filter at the same source) runs clean.
         let stats = ctrl
-            .run_ops(vec![OpSpec::mv(0, 1, Filter::any())])
-            .remove(0)
+            .run_op(OpSpec::mv(0, 1, Filter::any()))
             .unwrap_or_else(|e| panic!("{phase:?}: post-recovery move failed: {e}"));
         assert_eq!(stats.chunks, FLOWS as usize, "{phase:?}: post-recovery move is whole");
 
@@ -341,9 +306,8 @@ fn share_crash_at_each_boundary_recovers_nondestructively() {
 /// disarmed: a probe matching each op's filter is processed there.
 #[test]
 fn crash_with_two_inflight_ops_recovers_both() {
-    let mut ctrl = RtController::new(
-        (0..4).map(|_| Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>).collect(),
-    );
+    let mut ctrl =
+        RtController::new_with_telemetry((0..4).map(|_| monitor()).collect(), Telemetry::wall());
     // Two disjoint flow populations, one per source worker.
     for f in 0..FLOWS {
         let tx0 = ctrl.worker_tx(0);
@@ -410,10 +374,10 @@ fn fail_forward_under_live_traffic_leaves_the_source_empty() {
     for (mode, mv) in [("relayed", OpSpec::mv as Mv), ("p2p", OpSpec::mv_p2p)] {
         for phase in phases {
             let case = format!("{mode} {phase:?}");
-            let mut ctrl = loaded_controller();
+            let mut ctrl = loaded(false);
             ctrl.crash_after(phase);
-            let res = ctrl.run_ops(vec![mv(0, 1, Filter::any())]);
-            assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{case}: {:?}", res[0]);
+            let res = ctrl.run_op(mv(0, 1, Filter::any()));
+            assert!(matches!(res, Err(RtError::CtrlCrashed)), "{case}: {:?}", res);
 
             let stop = Arc::new(AtomicBool::new(false));
             let gen = {
@@ -467,10 +431,10 @@ fn events_seen_by_quiesce_after_a_crash_are_replayed() {
         (JournalPhase::Transferred, true),
     ];
     for (phase, forward) in phases {
-        let mut ctrl = loaded_controller();
+        let mut ctrl = loaded(false);
         ctrl.crash_after(phase);
-        let res = ctrl.run_ops(vec![OpSpec::mv(0, 1, Filter::any())]);
-        assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{phase:?}: {:?}", res[0]);
+        let res = ctrl.run_op(OpSpec::mv(0, 1, Filter::any()));
+        assert!(matches!(res, Err(RtError::CtrlCrashed)), "{phase:?}: {:?}", res);
         ctrl.worker_tx(0)
             .send(WireMsg::Packet { packet: pkt(PROBE, 0) }.to_json())
             .expect("worker alive");
@@ -499,14 +463,14 @@ fn events_seen_by_quiesce_after_a_crash_are_replayed() {
 #[test]
 fn flush_to_a_dead_destination_accounts_every_spooled_packet() {
     const LATE: u64 = 5_000;
-    let mut ctrl = RtController::new(vec![monitor(), monitor()]);
+    let mut ctrl = RtController::new_with_telemetry(vec![monitor(), monitor()], Telemetry::wall());
     for f in 0..50 {
         ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
     }
     ctrl.quiesce(0).expect("worker alive");
     ctrl.crash_after(JournalPhase::Imported);
-    let res = ctrl.run_ops(vec![OpSpec::mv(0, 1, Filter::any())]);
-    assert!(matches!(res[0], Err(RtError::CtrlCrashed)), "{:?}", res[0]);
+    let res = ctrl.run_op(OpSpec::mv(0, 1, Filter::any()));
+    assert!(matches!(res, Err(RtError::CtrlCrashed)), "{:?}", res);
     for i in 0..20 {
         ctrl.inject(pkt(LATE + i, i as u32)).expect("worker alive");
     }

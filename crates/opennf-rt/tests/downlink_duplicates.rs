@@ -52,24 +52,20 @@ fn duplicated_downlink_requests_are_applied_once() {
             FaultKind::Duplicate(Dur::millis(300)),
         );
         let tel = Telemetry::wall();
-        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-            vec![
-                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-                Box::new(AssetMonitor::new()),
-            ],
-            plan,
-            tel.clone(),
-        );
+        let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+        let (ctrl, faults) =
+            RtController::build(vec![vec![monitor(), monitor()]], Some((plan, 0)), tel.clone());
+        let faults = faults.expect("a plan was given");
         let mut ctrl = ctrl.with_reply_timeout(Duration::from_secs(2));
         for f in 0..FLOWS {
             ctrl.inject(pkt(f as u64 + 1, f, TcpFlags::SYN)).expect("worker alive");
         }
         ctrl.quiesce(0).expect("worker alive");
 
-        let res = ctrl.run_ops(vec![first(0, 1, Filter::any())]);
-        assert!(res[0].is_ok(), "{name}: first op commits: {:?}", res[0]);
-        let res = ctrl.run_ops(vec![OpSpec::mv_p2p(1, 0, Filter::any())]);
-        assert!(res[0].is_ok(), "{name}: move back commits: {:?}", res[0]);
+        let res = ctrl.run_op(first(0, 1, Filter::any()));
+        assert!(res.is_ok(), "{name}: first op commits: {:?}", res);
+        let res = ctrl.run_op(OpSpec::mv_p2p(1, 0, Filter::any()));
+        assert!(res.is_ok(), "{name}: move back commits: {:?}", res);
 
         // Every late copy has landed by now.
         std::thread::sleep(Duration::from_millis(500));

@@ -53,14 +53,10 @@ fn dropped_batch_ack_retries_only_unconfirmed_flows() {
             FaultKind::Drop,
         );
         let tel = Telemetry::wall();
-        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-            vec![
-                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-                Box::new(AssetMonitor::new()),
-            ],
-            plan,
-            tel.clone(),
-        );
+        let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+        let (ctrl, faults) =
+            RtController::build(vec![vec![monitor(), monitor()]], Some((plan, 0)), tel.clone());
+        let faults = faults.expect("a plan was given");
         let mut ctrl = ctrl.with_reply_timeout(Duration::from_millis(400));
         for f in 0..FLOWS {
             ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
@@ -138,14 +134,10 @@ fn an_earlier_p2p_move_into_the_same_worker_confirms_nothing() {
             FaultKind::Drop,
         );
         let tel = Telemetry::wall();
-        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-            vec![
-                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-                Box::new(AssetMonitor::new()),
-            ],
-            plan,
-            tel.clone(),
-        );
+        let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+        let (ctrl, faults) =
+            RtController::build(vec![vec![monitor(), monitor()]], Some((plan, 0)), tel.clone());
+        let faults = faults.expect("a plan was given");
         let reply_timeout = Duration::from_millis(400);
         let mut ctrl = ctrl.with_reply_timeout(reply_timeout);
         for f in 0..FLOWS {
@@ -155,7 +147,7 @@ fn an_earlier_p2p_move_into_the_same_worker_confirms_nothing() {
 
         let first = ctrl.move_flows_p2p(0, 1, Filter::any()).expect("clean first move");
         assert_eq!(first.chunks, FLOWS as usize);
-        ctrl.move_flows_lossfree(1, 0, Filter::any()).expect("clean move back");
+        ctrl.run_op(OpSpec::mv(1, 0, Filter::any())).expect("clean move back");
         assert_eq!(tel.counter("rt.p2p.retry_rounds").load(Ordering::Relaxed), 0);
         while faults.now() < drops_from {
             std::thread::sleep(Duration::from_millis(5));

@@ -150,7 +150,7 @@ fn quiet_move_skips_the_post_flip_wait() {
     };
     ctrl.ctrl_tx().send(stray.to_json()).expect("controller alive");
 
-    let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    let stats = ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("move succeeds");
     assert_eq!(stats.chunks, FLOWS as usize);
     let fwd = fwd_update_max(&tel);
     assert!(fwd < FWD_IDLE, "quiet flip settled in {fwd:?}");
@@ -182,7 +182,7 @@ fn a_lookup_before_the_move_keeps_the_post_flip_wait() {
     let mut ctrl = quiet_controller(2, &tel);
     assert_eq!(ctrl.router.route(&pkt(1, 0)), Some(0));
     let t0 = Instant::now();
-    ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("move succeeds");
     let took = t0.elapsed();
     assert!(took >= FWD_IDLE, "move after a lookup took only {took:?}");
 }
@@ -214,7 +214,7 @@ fn packets_queued_at_the_source_survive_a_quiet_move() {
     while sent.load(Ordering::Acquire) < 50 {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("move succeeds");
+    let stats = ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("move succeeds");
     stop.store(true, Ordering::Release);
     let blasted = gen.join().expect("generator");
     assert!(fwd_update_max(&tel) < FWD_IDLE, "the move took the quiet exit");

@@ -16,6 +16,7 @@ use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
 use opennf_rt::{OpSpec, RtController, CTRL_NODE};
+use opennf_telemetry::Telemetry;
 use opennf_util::{Dur, FaultKind, FaultPlan, Time};
 
 /// Several 64-chunk batches per export, so a batch can repeat mid-stream.
@@ -55,21 +56,17 @@ fn duplicated_uplink_frames_never_fail_an_op() {
             1000,
             FaultKind::Duplicate(Dur::ZERO),
         );
-        let (ctrl, faults) = RtController::new_with_faults_and_telemetry(
-            vec![
-                Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>,
-                Box::new(AssetMonitor::new()),
-            ],
-            plan,
-            opennf_telemetry::Telemetry::wall(),
-        );
+        let monitor = || Box::new(AssetMonitor::new()) as Box<dyn NetworkFunction>;
+        let (ctrl, faults) =
+            RtController::build(vec![vec![monitor(), monitor()]], Some((plan, 0)), Telemetry::wall());
+        let faults = faults.expect("a plan was given");
         let mut ctrl = ctrl.with_reply_timeout(Duration::from_secs(2));
         for f in 0..FLOWS {
             ctrl.inject(pkt(f as u64 + 1, f)).expect("worker alive");
         }
         ctrl.quiesce(0).expect("worker alive");
 
-        let res = ctrl.run_ops(vec![spec]).pop().expect("one result");
+        let res = ctrl.run_op(spec);
         let stats = res.unwrap_or_else(|e| panic!("{name}: op failed: {e}"));
         assert_eq!(stats.chunks, FLOWS as usize, "{name}: every flow transferred once");
         bytes.push((name, stats.bytes));

@@ -13,13 +13,14 @@
 
 use opennf::nfs::AssetMonitor;
 use opennf::prelude::*;
-use opennf::rt::{RtController, WireMsg};
+use opennf::rt::{OpSpec, RtController, WireMsg};
+use opennf_telemetry::Telemetry;
 
 fn main() {
-    let mut ctrl = RtController::new(vec![
-        Box::new(AssetMonitor::new()),
-        Box::new(AssetMonitor::new()),
-    ]);
+    let mut ctrl = RtController::new_with_telemetry(
+        vec![Box::new(AssetMonitor::new()), Box::new(AssetMonitor::new())],
+        Telemetry::wall(),
+    );
 
     const PACKETS: u64 = 5_000;
     const FLOWS: u64 = 100;
@@ -48,7 +49,7 @@ fn main() {
 
     // Let state accumulate, then move everything, live.
     std::thread::sleep(std::time::Duration::from_millis(40));
-    let stats = ctrl.move_flows_lossfree(0, 1, Filter::any()).expect("loss-free move");
+    let stats = ctrl.run_op(OpSpec::mv(0, 1, Filter::any())).expect("loss-free move");
     println!("moved     : {} flows, {} bytes of state", stats.chunks, stats.bytes);
     println!("replayed  : {} event packets to the destination", stats.events_replayed);
     println!("wall time : {:?}", stats.duration);

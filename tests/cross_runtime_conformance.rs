@@ -136,8 +136,7 @@ fn worker_decode_spans_link_to_the_controller_phase_span() {
         ctrl.inject(pkt).expect("worker alive");
     }
     ctrl.quiesce(0).expect("worker alive");
-    ctrl.run_ops(vec![opennf_rt::OpSpec::mv(0, 1, opennf_packet::Filter::any())])
-        .remove(0)
+    ctrl.run_op(opennf_rt::OpSpec::mv(0, 1, opennf_packet::Filter::any()))
         .expect("move succeeds");
     ctrl.shutdown();
 
