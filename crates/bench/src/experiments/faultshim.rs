@@ -94,7 +94,7 @@ pub fn run(msgs: u64) -> FaultShimReport {
     // Passthrough: the fault-free deployment path.
     {
         let (tx, rx) = unbounded();
-        rows.push(time_sends("passthrough", FaultyChannel::passthrough(tx), &rx, msgs));
+        rows.push(time_sends("passthrough", FaultyChannel::new(tx, src, dst, None), &rx, msgs));
     }
 
     // Armed, but this link has no rules: the plan-scan short-circuits.
@@ -102,7 +102,7 @@ pub fn run(msgs: u64) -> FaultShimReport {
         let plan = FaultPlan::new(1).sever(NodeId(8), NodeId(9), Time(0), Time(u64::MAX));
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, src, dst, faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, src, dst, Some((faults.clone(), pump)));
         rows.push(time_sends("armed, no match", ch, &rx, msgs));
         faults.join_pump();
     }
@@ -120,7 +120,7 @@ pub fn run(msgs: u64) -> FaultShimReport {
         );
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, src, dst, faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, src, dst, Some((faults.clone(), pump)));
         rows.push(time_sends("armed, rule rolled", ch, &rx, msgs));
         faults.join_pump();
     }

@@ -2,8 +2,8 @@
 //! protocol while traffic keeps flowing from generator threads.
 //!
 //! Every controller → worker message leaves through one of two functions:
-//! [`RtController::send`] for southbound calls and
-//! [`RtController::replay`] for buffered packets. Every call is fenced
+//! `RtController::send` for southbound calls and
+//! `RtController::replay` for buffered packets. Every call is fenced
 //! ([`WireMsg::Request`]): it carries the request floor, so a worker
 //! applies it at most once and never after its op has ended, whatever the
 //! network does to it.
@@ -26,12 +26,12 @@ use opennf_nf::{EventedNf, NetworkFunction};
 use opennf_packet::{Filter, FlowId};
 use opennf_telemetry::Telemetry;
 
-use crate::engine::OpSpec;
+use crate::engine::{check_workers, OpSpec};
 use crate::error::RtError;
 use crate::faults::{worker_node, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 use crate::router::Router;
 use crate::wire::{decode_frame, FrameBuf, WireCall, WireEvent, WireMsg, WireReply};
-use crate::worker::{spawn_worker_full, PeerMesh, WorkerHandle};
+use crate::worker::{spawn_worker_full, WorkerHandle};
 use opennf_util::FaultPlan;
 
 /// Replayed packets are coalesced into frames of at most this many
@@ -131,6 +131,9 @@ pub struct RtController {
     ctrl_links: Vec<FaultyChannel>,
     /// Router → worker links (what fault-aware generators send through).
     data_links: Vec<FaultyChannel>,
+    /// Workers whose `NfFailed` report has been received: their threads
+    /// are exiting, so nothing more is posted to them (see `post`).
+    dead: Vec<bool>,
     pub(crate) reply_timeout: Duration,
     /// Packet uids the last aborted move could not replay (its explicit
     /// loss accounting, mirroring the simulator's `abort_lost`).
@@ -240,52 +243,30 @@ impl RtController {
             (faults, pump)
         });
         // The shim for worker `i`'s channels, if it is in the fault domain.
-        let shim_of = |i: usize| faults.as_ref().filter(|_| domain.contains(&i));
+        let shim_of = |i: usize| faults.clone().filter(|_| domain.contains(&i));
         let router = Arc::new(Router::new());
         router.install(0, Filter::any(), 0);
         let (to_ctrl, from_workers) = unbounded();
-        let n = nfs.len();
-        let dials = tel.counter("rt.p2p.dials");
-        let meshes: Vec<Arc<PeerMesh>> =
-            (0..n).map(|_| PeerMesh::new(n, dials.clone())).collect();
+        // Every inbox exists before any worker spawns, so each worker gets
+        // the whole mesh at spawn; it dials worker j's inbox on its first
+        // P2P transfer to j, through its own shim, so a plan can drop or
+        // delay chunk batches on the direct path too.
+        let inboxes: Vec<(Sender<String>, Receiver<String>)> =
+            nfs.iter().map(|_| unbounded()).collect();
+        let peers: Vec<Sender<String>> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
         let workers: Vec<WorkerHandle> = nfs
             .into_iter()
+            .zip(inboxes)
             .enumerate()
-            .map(|(i, nf)| {
-                let up = match shim_of(i) {
-                    Some((f, pump)) => FaultyChannel::shimmed(
-                        to_ctrl.clone(),
-                        worker_node(i),
-                        CTRL_NODE,
-                        f.clone(),
-                        pump.clone(),
-                    ),
-                    None => FaultyChannel::passthrough(to_ctrl.clone()),
-                };
-                spawn_worker_full(i, nf, up, meshes[i].clone(), tel.clone())
+            .map(|(i, (nf, inbox))| {
+                let (up, peers) = (to_ctrl.clone(), peers.clone());
+                spawn_worker_full(i, nf, inbox, up, peers, shim_of(i), tel.clone())
             })
             .collect();
-        // Hand every mesh the ingredients for the direct worker ↔ worker
-        // links now that every inbox exists — but dial nothing: worker i's
-        // link to worker j is constructed on its first P2P transfer (and
-        // runs through the fault shim for that link, so a plan can drop or
-        // delay chunk batches on the direct path too).
-        let peer_txs: Vec<Sender<String>> = workers.iter().map(|w| w.tx.clone()).collect();
-        for (i, mesh) in meshes.iter().enumerate() {
-            mesh.wire(i, peer_txs.clone(), shim_of(i).cloned());
-        }
-        let link = |i: usize, src| match shim_of(i) {
-            Some((f, pump)) => FaultyChannel::shimmed(
-                workers[i].tx.clone(),
-                src,
-                worker_node(i),
-                f.clone(),
-                pump.clone(),
-            ),
-            None => FaultyChannel::passthrough(workers[i].tx.clone()),
-        };
-        let ctrl_links = (0..n).map(|i| link(i, CTRL_NODE)).collect();
-        let data_links = (0..n).map(|i| link(i, ROUTER_NODE)).collect();
+        let link =
+            |i: usize, src| FaultyChannel::new(peers[i].clone(), src, worker_node(i), shim_of(i));
+        let ctrl_links = (0..peers.len()).map(|i| link(i, CTRL_NODE)).collect();
+        let data_links = (0..peers.len()).map(|i| link(i, ROUTER_NODE)).collect();
         let c_frames_decoded = tel.counter("rt.frames.decoded");
         let c_frames_encoded = tel.counter("rt.frames.encoded");
         let c_events_pumped = tel.counter("rt.events.pumped");
@@ -298,6 +279,7 @@ impl RtController {
             from_workers,
             to_ctrl,
             next_id: 1,
+            dead: vec![false; peers.len()],
             ctrl_links,
             data_links,
             reply_timeout: REPLY_TIMEOUT,
@@ -348,6 +330,11 @@ impl RtController {
     pub(crate) fn recv_msg(&mut self, timeout: Duration) -> Recv {
         loop {
             if let Some(m) = self.inbox.pop_front() {
+                if let WireMsg::Event { worker, ev: WireEvent::NfFailed { .. } } = m {
+                    if let Some(dead) = self.dead.get_mut(worker) {
+                        *dead = true;
+                    }
+                }
                 return Recv::Msg(m);
             }
             match self.from_workers.recv_timeout(timeout) {
@@ -431,11 +418,13 @@ impl RtController {
     /// Synchronization barrier: returns once worker `worker` has drained
     /// every message queued on its channel before this call (FIFO
     /// ordering), and re-homes the events those messages raised
-    /// ([`RtController::home_event`]). Fails only because of `worker`:
+    /// (`RtController::home_event`). Fails only because of `worker`:
     /// another worker's failure or an undecodable frame does not end the
     /// wait. Benchmarks use this to keep preload processing out of a
-    /// measured move window.
+    /// measured move window. A worker that does not exist is
+    /// [`RtError::InvalidOp`].
     pub fn quiesce(&mut self, worker: usize) -> Result<(), RtError> {
+        check_workers(&format!("quiesce {worker}"), &[worker], self.workers.len())?;
         let id = self.send(worker, WireCall::DelPerflow { flow_ids: Vec::new() }, Via::Link, 0)?;
         Self::expect_done(self.await_reply(worker, id)?)
     }
@@ -476,8 +465,15 @@ impl RtController {
     }
 
     /// Hands one channel payload to worker `worker` via `via`; `false`
-    /// when the worker is gone.
+    /// when the worker is gone or has reported its NF failed. A dying
+    /// worker's inbox may outlive its report for a moment; nothing posted
+    /// there is served, so a send to it fails at once as `WorkerGone`
+    /// instead of waiting out a reply timeout, and a replay to it counts
+    /// its packets lost instead of released.
     fn post(&self, worker: usize, via: Via, json: String) -> bool {
+        if self.dead[worker] {
+            return false;
+        }
         match via {
             Via::Link => self.ctrl_links[worker].send_json(json).is_ok(),
             Via::Mgmt => self.workers[worker].tx.send(json).is_ok(),
@@ -697,7 +693,7 @@ impl RtController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::PanicNf;
+    use crate::testutil::{PanicAt, PanicNf};
     use opennf_nfs::AssetMonitor;
     use opennf_packet::{FlowKey, Packet, TcpFlags};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -797,16 +793,19 @@ mod tests {
             ctrl.inject(pkt(uid, (uid % 8) as u16)).unwrap();
         }
         ctrl.quiesce(0).unwrap();
+        let dials = tel.counter("rt.p2p.dials");
         ctrl.move_flows_p2p(0, 1, Filter::any()).expect("p2p move succeeds");
-        assert_eq!(
-            tel.counter("rt.p2p.dials").load(Ordering::Relaxed),
-            1,
-            "only the src → dst link is dialed"
-        );
+        assert_eq!(dials.load(Ordering::Relaxed), 1, "only the src → dst link is dialed");
         assert!(
             tel.counter("rt.p2p.batches").load(Ordering::Relaxed) >= 1,
             "at least one chunk batch shipped on the dialed link"
         );
+        // A link is dialed once per ordered pair: a second 0 → 1 move
+        // reuses it, the first 1 → 0 move dials its own.
+        ctrl.move_flows_p2p(0, 1, Filter::any()).expect("second p2p move succeeds");
+        assert_eq!(dials.load(Ordering::Relaxed), 1, "0 → 1 is dialed once");
+        ctrl.move_flows_p2p(1, 0, Filter::any()).expect("reverse p2p move succeeds");
+        assert_eq!(dials.load(Ordering::Relaxed), 2, "1 → 0 is a link of its own");
         ctrl.shutdown();
     }
 
@@ -832,13 +831,19 @@ mod tests {
 
     #[test]
     fn move_surfaces_source_nf_failure_as_typed_error() {
-        let mut ctrl = wall(vec![Box::new(PanicNf::new(7)), Box::new(AssetMonitor::new())]);
+        let mut ctrl =
+            wall(vec![Box::new(PanicNf::new(PanicAt::Packet(7))), Box::new(AssetMonitor::new())]);
         // The faulting packet is queued ahead of the move's requests, so
         // the source dies before (or while) answering them.
         for uid in 1..=7u64 {
             ctrl.inject(pkt(uid, (uid % 4) as u16)).expect("worker alive at enqueue time");
         }
+        let started = Instant::now();
         let res = ctrl.run_op(OpSpec::mv(0, 1, Filter::any()));
+        // The teardown sends nothing to the dead source, so the error
+        // comes well inside one reply timeout.
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "failed after {took:?}");
         match res {
             Err(RtError::NfFailed { worker: 0, reason }) => {
                 assert!(reason.contains("injected NF bug"), "reason: {reason}");
@@ -852,6 +857,60 @@ mod tests {
         // answers southbound calls.
         let id = ctrl.send(1, WireCall::GetAllflows, Via::Link, 0).unwrap();
         assert!(matches!(ctrl.await_reply(1, id), Ok(WireReply::Chunks { .. })));
+    }
+
+    /// A P2P move whose destination NF panics importing a chunk batch fails
+    /// with that worker's `NfFailed` well inside one reply timeout, and
+    /// both workers still hand their harnesses back.
+    #[test]
+    fn p2p_import_panic_fails_the_move_with_the_destination_named() {
+        let mut ctrl =
+            wall(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(PanicAt::PutPerflow))])
+                .with_reply_timeout(Duration::from_secs(1));
+        for uid in 1..=20u64 {
+            ctrl.inject(pkt(uid, uid as u16)).unwrap();
+        }
+        ctrl.quiesce(0).unwrap();
+        let started = Instant::now();
+        let res = ctrl.run_op(OpSpec::mv_p2p(0, 1, Filter::any()));
+        let took = started.elapsed();
+        match res {
+            Err(RtError::NfFailed { worker: 1, reason }) => {
+                assert!(reason.contains("injected NF bug"), "reason: {reason}");
+            }
+            other => panic!("expected worker 1's NfFailed, got {other:?}"),
+        }
+        assert!(took < Duration::from_secs(1), "failed after {took:?}");
+        assert_eq!(ctrl.shutdown().len(), 2, "both harnesses come back");
+    }
+
+    /// Packets a source dropped under a move's events, held at the
+    /// controller when that source's NF dies, cannot go back to it: every
+    /// one is accounted in `abort_lost` and none counts as released, even
+    /// if the replay runs while the dying thread's inbox is still open.
+    /// The dropped packets' events are queued on the controller channel
+    /// ahead of the move, so the op buffers all of them before the
+    /// source's export panics.
+    #[test]
+    fn packets_held_for_a_source_that_dies_are_accounted_lost() {
+        let mut ctrl =
+            wall(vec![Box::new(PanicNf::new(PanicAt::GetPerflow)), Box::new(AssetMonitor::new())]);
+        let events = ctrl.ctrl_tx();
+        for uid in 1..=10u64 {
+            let ev = WireEvent::PacketReceived { packet: pkt(uid, uid as u16) };
+            events.send(WireMsg::Event { worker: 0, ev }.to_json()).unwrap();
+        }
+        match ctrl.run_op(OpSpec::mv(0, 1, Filter::any())) {
+            Err(RtError::NfFailed { worker: 0, .. }) => {}
+            other => panic!("expected worker 0's NfFailed, got {other:?}"),
+        }
+        let lost: Vec<u64> = (1..=10).collect();
+        assert_eq!(ctrl.abort_lost(), lost);
+        let last = ctrl.journal().records.last().expect("the op is journaled");
+        assert_eq!(last.phase, JournalPhase::Aborted);
+        assert_eq!(last.report.abort_lost, lost);
+        assert_eq!((last.report.events_buffered, last.report.events_released), (10, 0));
+        assert_eq!(ctrl.shutdown().len(), 2, "both harnesses come back");
     }
 
     /// The worker's fence forgets what the request floor passes: over 200
@@ -948,6 +1007,11 @@ mod tests {
                 Err(e) => assert!(!valid && matches!(e, RtError::InvalidOp(_)), "{case}: {e}"),
             }
         }
+        // The same bound holds where a barrier names a worker.
+        match ctrl.quiesce(5) {
+            Err(RtError::InvalidOp(why)) => assert!(why.contains("quiesce 5"), "{why}"),
+            other => panic!("quiesce of a missing worker: {other:?}"),
+        }
         let ops: Vec<(OpId, JournalPhase)> =
             ctrl.journal().records.iter().map(|r| (r.op, r.phase)).collect();
         assert!(ops.iter().all(|&(op, _)| op == OpId(1)), "only the valid move has an op id");
@@ -1029,7 +1093,8 @@ mod tests {
 
     #[test]
     fn quiesce_fails_only_for_its_own_worker() {
-        let mut ctrl = wall(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(1))]);
+        let mut ctrl =
+            wall(vec![Box::new(AssetMonitor::new()), Box::new(PanicNf::new(PanicAt::Packet(1)))]);
         ctrl.worker_tx(1).send(WireMsg::Packet { packet: pkt(1, 0) }.to_json()).unwrap();
         // Worker 1 reports its failure and exits, closing its channel:
         // its report is queued for the controller before worker 0 is asked.

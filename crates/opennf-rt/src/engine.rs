@@ -2,7 +2,7 @@
 //! scopes progress in parallel on one dispatch thread.
 //!
 //! The synchronous controller drove one move at a time, blocking on every
-//! southbound reply. Here each op is a per-op state machine ([`OpTask`])
+//! southbound reply. Here each op is a per-op state machine (`OpTask`)
 //! and a single event-dispatch loop routes replies and events to
 //! whichever op issued them: while one op waits for a put ack its
 //! neighbours keep streaming, so aggregate throughput scales with the
@@ -65,7 +65,7 @@
 //! [`JournalPhase`] ledger shape the simulator's controller keeps. A
 //! controller crash between any two transitions is recovered by resuming
 //! the engine ([`RtController::recover`]): every op that left a residue
-//! becomes an [`OpTask`] again at the continuation of its last journal
+//! becomes an `OpTask` again at the continuation of its last journal
 //! record and runs through the same dispatch loop. The rt's rule, for all
 //! three op kinds: fail forward once every chunk is confirmed at the
 //! destination (`Transferred` and later), roll back before that, always
@@ -107,6 +107,17 @@ const FWD_DRAIN: Duration = Duration::from_millis(200);
 /// Early exit: no straggler for this long means the flip has settled
 /// (keeps single-move latency at the synchronous controller's level).
 const FWD_IDLE: Duration = Duration::from_millis(20);
+
+/// Rejects `what` when it names a worker beyond the `workers` there are:
+/// the bound op submission and [`RtController::quiesce`] share.
+pub(crate) fn check_workers(what: &str, named: &[usize], workers: usize) -> Result<(), RtError> {
+    if named.iter().any(|&w| w >= workers) {
+        return Err(RtError::InvalidOp(format!(
+            "{what} names a worker beyond the {workers} there are"
+        )));
+    }
+    Ok(())
+}
 
 /// The post-flip quiet window.
 /// A packet *enqueued* at the source before the flip needs no
@@ -172,15 +183,13 @@ impl OpSpec {
     /// from a worker to itself (a move would delete the state it just
     /// put) or one naming a worker that does not exist.
     fn check(&self, workers: usize) -> Result<(), RtError> {
-        let (src, dst, kind) = (self.src, self.dst, self.kind.name());
-        let why = if src >= workers || dst >= workers {
-            format!("{kind} {src}->{dst} names a worker beyond the {workers} there are")
-        } else if src == dst {
-            format!("{kind} {src}->{dst} has the same source and destination")
-        } else {
-            return Ok(());
-        };
-        Err(RtError::InvalidOp(why))
+        let (src, dst) = (self.src, self.dst);
+        let what = format!("{} {src}->{dst}", self.kind.name());
+        check_workers(&what, &[src, dst], workers)?;
+        if src == dst {
+            return Err(RtError::InvalidOp(format!("{what} has the same source and destination")));
+        }
+        Ok(())
     }
 
     /// The op's name in its [`OpReport`].
@@ -426,7 +435,7 @@ impl OpTask {
 }
 
 impl RtController {
-    /// Runs `specs` concurrently, one [`OpTask`] per spec, and returns
+    /// Runs `specs` concurrently, one `OpTask` per spec, and returns
     /// each op's outcome in spec order. Which pending op starts when an
     /// endpoint frees up is the active scheduling policy's call
     /// ([`RtController::set_sched_policy`]); under the default FIFO

@@ -332,9 +332,17 @@ struct LinkShim {
 pub struct LinkClosed;
 
 impl FaultyChannel {
-    /// A shim-free channel: sends go straight through.
-    pub fn passthrough(target: Sender<String>) -> Self {
-        FaultyChannel { target, shim: None }
+    /// The `src → dst` link into `target`: wrapped with an armed plan's
+    /// `shim` (what [`RtFaults::arm`] returns) if one is given, straight
+    /// through otherwise.
+    pub fn new(
+        target: Sender<String>,
+        src: NodeId,
+        dst: NodeId,
+        shim: Option<(Arc<RtFaults>, Sender<PumpJob>)>,
+    ) -> Self {
+        let shim = shim.map(|(faults, pump)| LinkShim { src, dst, faults, pump });
+        FaultyChannel { target, shim }
     }
 
     /// Whether a fault plan is armed on this link. Senders that coalesce
@@ -344,17 +352,6 @@ impl FaultyChannel {
     /// injected-fault ledger non-reproducible.
     pub fn is_shimmed(&self) -> bool {
         self.shim.is_some()
-    }
-
-    /// Wraps the `src → dst` link with `faults`.
-    pub fn shimmed(
-        target: Sender<String>,
-        src: NodeId,
-        dst: NodeId,
-        faults: Arc<RtFaults>,
-        pump: Sender<PumpJob>,
-    ) -> Self {
-        FaultyChannel { target, shim: Some(LinkShim { src, dst, faults, pump }) }
     }
 
     /// Sends a wire message through the link, applying any matching fault.
@@ -477,7 +474,7 @@ mod tests {
     #[test]
     fn passthrough_forwards_everything() {
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::passthrough(tx);
+        let ch = FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), None);
         for uid in 1..=50 {
             ch.send_json(pkt_json(uid)).unwrap();
         }
@@ -494,7 +491,7 @@ mod tests {
         let plan = FaultPlan::new(3).sever(ROUTER_NODE, worker_node(0), from, until);
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), Some((faults.clone(), pump)));
         for uid in 1..=20 {
             ch.send_json(pkt_json(uid)).unwrap();
         }
@@ -521,7 +518,7 @@ mod tests {
             let (faults, pump) = RtFaults::arm(plan);
             let (tx, _rx) = unbounded();
             let ch =
-                FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump);
+                FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), Some((faults.clone(), pump)));
             for uid in 1..=200 {
                 ch.send_json(pkt_json(uid)).unwrap();
             }
@@ -550,7 +547,7 @@ mod tests {
             let (faults, pump) = RtFaults::arm(plan);
             let (tx, _rx) = unbounded();
             let ch =
-                FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(1), faults.clone(), pump);
+                FaultyChannel::new(tx, ROUTER_NODE, worker_node(1), Some((faults.clone(), pump)));
             let mut uids: Vec<u64> = (1..=100).collect();
             if rev {
                 uids.reverse();
@@ -578,7 +575,7 @@ mod tests {
         );
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, CTRL_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, CTRL_NODE, worker_node(0), Some((faults.clone(), pump)));
         let t0 = Instant::now();
         ch.send_json(pkt_json(9)).unwrap();
         assert!(rx.try_recv().is_err(), "not delivered synchronously");
@@ -602,7 +599,7 @@ mod tests {
         );
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), Some((faults.clone(), pump)));
         ch.send_json(pkt_json(4)).unwrap();
         let mut got = 0;
         while rx.recv_timeout(Duration::from_secs(1)).is_ok() {
@@ -625,7 +622,7 @@ mod tests {
             .restart(worker_node(0), Time(u64::MAX));
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), Some((faults.clone(), pump)));
         for uid in 1..=5 {
             ch.send_json(pkt_json(uid)).unwrap();
         }
@@ -645,7 +642,7 @@ mod tests {
         let plan = FaultPlan::new(3).sever(ROUTER_NODE, worker_node(0), from, until);
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, ROUTER_NODE, worker_node(0), Some((faults.clone(), pump)));
         let k = FlowKey::tcp("10.0.0.1".parse().unwrap(), 1000, "1.1.1.1".parse().unwrap(), 80);
         let msgs: Vec<WireMsg> = (1..=6u64)
             .map(|uid| WireMsg::Packet { packet: Packet::builder(uid, k).build() })
@@ -664,7 +661,7 @@ mod tests {
         let plan = FaultPlan::new(1);
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, _rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, CTRL_NODE, worker_node(0), faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, CTRL_NODE, worker_node(0), Some((faults.clone(), pump)));
         ch.send_json(pkt_json(1)).unwrap();
         drop(ch);
         // join_pump returns promptly because all pump senders are gone.

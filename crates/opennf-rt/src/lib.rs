@@ -22,13 +22,18 @@
 //! [`OpSpec`]s to [`RtController::run_ops`] (or [`RtController::run_op`]
 //! for one).
 //!
-//! Failures are first-class: NF panics are caught inside the worker and
-//! reported as [`WireEvent::NfFailed`], channel deaths and reply timeouts
-//! surface as typed [`RtError`]s, and the controller never panics because
-//! an instance died. The [`faults`] module extends the simulator's seeded
-//! [`opennf_util::FaultPlan`] to these channels, so the JSON southbound
-//! path can be soak-tested under the same replayable failure schedules as
-//! the simulator.
+//! Each worker is spawned with every peer's inbox, so the worker ↔ worker
+//! mesh P2P transfers use is complete at spawn; a link is dialed only on
+//! the first transfer between its two workers.
+//!
+//! Failures are first-class: every message a worker serves runs under one
+//! panic guard, so an NF panic — on a packet, a southbound call or a P2P
+//! import — is reported as [`WireEvent::NfFailed`]; channel deaths and
+//! reply timeouts surface as typed [`RtError`]s, and the controller never
+//! panics because an instance died. The [`faults`] module extends the
+//! simulator's seeded [`opennf_util::FaultPlan`] to these channels, so the
+//! JSON southbound path can be soak-tested under the same replayable
+//! failure schedules as the simulator.
 
 pub mod controller;
 pub mod engine;
@@ -46,7 +51,7 @@ pub use error::RtError;
 pub use faults::{worker_node, FaultLedger, FaultyChannel, RtFaults, CTRL_NODE, ROUTER_NODE};
 pub use router::Router;
 pub use wire::{WireCall, WireEvent, WireMsg, WireReply};
-pub use worker::{spawn_worker, PeerMesh, WorkerHandle};
+pub use worker::{spawn_worker, WorkerHandle};
 
 // The rt controller journals through the same ledger types the simulator's
 // controller uses; re-exported so harnesses need only one import path.

@@ -4,17 +4,33 @@ use opennf_nf::{Chunk, LogRecord, NetworkFunction, NfFault, StateError};
 use opennf_nfs::AssetMonitor;
 use opennf_packet::{Filter, FlowId, Packet};
 
-/// An NF that behaves like an [`AssetMonitor`] but panics when it sees the
-/// trigger uid — a stand-in for an NF implementation bug.
+/// The NF call a [`PanicNf`] panics in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanicAt {
+    /// `process_packet`, on the packet with this uid.
+    Packet(u64),
+    GetPerflow,
+    PutPerflow,
+    DelPerflow,
+}
+
+/// An NF that behaves like an [`AssetMonitor`] but panics in one call — a
+/// stand-in for an NF implementation bug.
 pub struct PanicNf {
     inner: AssetMonitor,
-    trigger: u64,
+    at: PanicAt,
 }
 
 impl PanicNf {
-    /// Panics on the packet with uid `trigger`.
-    pub fn new(trigger: u64) -> Self {
-        PanicNf { inner: AssetMonitor::new(), trigger }
+    /// Panics in the call `at`.
+    pub fn new(at: PanicAt) -> Self {
+        PanicNf { inner: AssetMonitor::new(), at }
+    }
+
+    fn trip(&self, call: PanicAt) {
+        if self.at == call {
+            panic!("injected NF bug in {call:?}");
+        }
     }
 }
 
@@ -24,9 +40,7 @@ impl NetworkFunction for PanicNf {
     }
 
     fn process_packet(&mut self, pkt: &Packet) -> Result<(), NfFault> {
-        if pkt.uid == self.trigger {
-            panic!("injected NF bug at uid {}", pkt.uid);
-        }
+        self.trip(PanicAt::Packet(pkt.uid));
         self.inner.process_packet(pkt)
     }
 
@@ -39,14 +53,17 @@ impl NetworkFunction for PanicNf {
     }
 
     fn get_perflow(&mut self, filter: &Filter) -> Vec<Chunk> {
+        self.trip(PanicAt::GetPerflow);
         self.inner.get_perflow(filter)
     }
 
     fn put_perflow(&mut self, chunks: Vec<Chunk>) -> Result<(), StateError> {
+        self.trip(PanicAt::PutPerflow);
         self.inner.put_perflow(chunks)
     }
 
     fn del_perflow(&mut self, flow_ids: &[FlowId]) {
+        self.trip(PanicAt::DelPerflow);
         self.inner.del_perflow(flow_ids)
     }
 

@@ -1,10 +1,18 @@
 //! NF worker threads: each wraps an [`EventedNf`] and speaks the JSON wire
 //! protocol over crossbeam channels.
 //!
-//! Workers are failure-contained: a panic inside the NF is caught per
-//! message, reported to the controller as [`WireEvent::NfFailed`], and the
-//! thread exits cleanly — it never unwinds across the channel and never
-//! leaves the controller blocked on a reply that will not come.
+//! Workers are failure-contained: every message a worker serves — a packet,
+//! a southbound call, a P2P chunk batch, a transfer tombstone — runs under
+//! one panic guard. A panic inside the NF is reported to the controller as
+//! [`WireEvent::NfFailed`] and the thread exits cleanly, handing its
+//! harness back — it never unwinds across the channel and never leaves the
+//! controller blocked on a reply that will not come.
+//!
+//! The worker ↔ worker mesh for P2P bulk transfer is complete at spawn:
+//! each worker is handed every peer's inbox. The link to a peer — the
+//! inbox behind the fault shim, if one is armed — is dialed when a
+//! transfer first targets it, so `rt.p2p.dials` counts the ordered pairs
+//! a run actually used.
 //!
 //! Every request is fenced ([`WireMsg::Request`]): the worker keeps the
 //! highest request floor it has seen and the ids at or above it that it
@@ -16,106 +24,20 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use opennf_nf::{Chunk, EventedNf, NetworkFunction, NfEvent};
+use opennf_nf::{Chunk, EventedNf, NetworkFunction, NfEvent, StateError};
 use opennf_packet::{Filter, FlowId};
 use opennf_telemetry::Telemetry;
 
 use crate::error::RtError;
-use crate::faults::{worker_node, FaultyChannel, PumpJob, RtFaults};
+use crate::faults::{worker_node, FaultyChannel, PumpJob, RtFaults, CTRL_NODE};
 use crate::wire::{decode_frame, FrameBuf, WireCall, WireEvent, WireMsg, WireReply};
 
 /// Chunks per direct worker → worker frame in a P2P bulk transfer.
 const P2P_BATCH_CHUNKS: usize = 64;
-
-/// The ingredients for dialing a direct worker → worker link, installed by
-/// the controller once every worker inbox exists.
-struct MeshWiring {
-    /// The worker this mesh belongs to (fault plans address links by
-    /// source node).
-    src: usize,
-    /// Every worker's inbox, by index (including our own — self-transfers
-    /// are rejected upstream).
-    peer_txs: Vec<Sender<String>>,
-    /// Fault shim to thread each dialed link through, if a plan is armed.
-    faults: Option<(Arc<RtFaults>, Sender<PumpJob>)>,
-}
-
-/// Lazily dialed direct worker → worker links for P2P bulk transfer.
-///
-/// The controller installs the wiring (inboxes + fault shim) after
-/// spawning every worker, but no link exists until a transfer actually
-/// targets that peer: the first use dials it (constructing the possibly
-/// shimmed channel) and every dial is counted, so an O(n²) mesh is never
-/// materialized for workloads that move state between a handful of peers.
-pub struct PeerMesh {
-    wiring: OnceLock<MeshWiring>,
-    links: Vec<OnceLock<FaultyChannel>>,
-    dials: Arc<AtomicU64>,
-}
-
-impl PeerMesh {
-    /// A mesh over `n` workers whose dials increment `dials` (the shared
-    /// `rt.p2p.dials` telemetry counter).
-    pub fn new(n: usize, dials: Arc<AtomicU64>) -> Arc<Self> {
-        Arc::new(PeerMesh {
-            wiring: OnceLock::new(),
-            links: (0..n).map(|_| OnceLock::new()).collect(),
-            dials,
-        })
-    }
-
-    /// A mesh that was never wired: every transfer request fails (workers
-    /// spawned outside a controller have no peers).
-    pub fn unwired() -> Arc<Self> {
-        Self::new(0, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Installs the dialing ingredients. Called once by the controller
-    /// after all workers are spawned; later calls are ignored.
-    pub fn wire(
-        &self,
-        src: usize,
-        peer_txs: Vec<Sender<String>>,
-        faults: Option<(Arc<RtFaults>, Sender<PumpJob>)>,
-    ) {
-        let _ = self.wiring.set(MeshWiring { src, peer_txs, faults });
-    }
-
-    /// The link to `peer`, dialing it on first use.
-    fn link(&self, peer: usize) -> Result<&FaultyChannel, String> {
-        let Some(w) = self.wiring.get() else {
-            return Err("peer links not wired (no P2P mesh)".into());
-        };
-        let Some(cell) = self.links.get(peer) else {
-            return Err(format!("no peer link to worker {peer}"));
-        };
-        Ok(cell.get_or_init(|| {
-            self.dials.fetch_add(1, Ordering::Relaxed);
-            match &w.faults {
-                Some((f, pump)) => FaultyChannel::shimmed(
-                    w.peer_txs[peer].clone(),
-                    worker_node(w.src),
-                    worker_node(peer),
-                    f.clone(),
-                    pump.clone(),
-                ),
-                None => FaultyChannel::passthrough(w.peer_txs[peer].clone()),
-            }
-        }))
-    }
-
-    /// How many peer links this mesh has dialed so far.
-    pub fn dials(&self) -> u64 {
-        self.dials.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared handle to a worker's peer mesh.
-pub type PeerLinks = Arc<PeerMesh>;
 
 /// Handle to a running worker.
 pub struct WorkerHandle {
@@ -148,29 +70,54 @@ impl WorkerHandle {
 
 /// Spawns a worker thread for `nf`. All controller-bound traffic
 /// (responses and events) goes to `to_ctrl` as JSON — a plain sender,
-/// unshimmed. No peer links: P2P transfer requests fail.
+/// unshimmed. No peers: P2P transfer requests fail.
 pub fn spawn_worker(
     index: usize,
     nf: Box<dyn NetworkFunction>,
     to_ctrl: Sender<String>,
 ) -> WorkerHandle {
-    let up = FaultyChannel::passthrough(to_ctrl);
-    spawn_worker_full(index, nf, up, PeerMesh::unwired(), Telemetry::disabled())
+    spawn_worker_full(index, nf, unbounded(), to_ctrl, Vec::new(), None, Telemetry::disabled())
 }
 
-/// Spawns a worker with a (late-bound) peer mesh for P2P bulk transfer and
-/// a telemetry handle for its hot-path counters.
+/// Spawns worker `index` on its inbox `(tx, rx)`. `peers` holds every
+/// worker's inbox by index (this one's included — self-transfers are
+/// rejected upstream); the uplink to `to_ctrl` and each peer link run
+/// through `shim` when the worker is in a fault domain. Hot-path counters
+/// go to `tel`.
 pub(crate) fn spawn_worker_full(
     index: usize,
     nf: Box<dyn NetworkFunction>,
-    to_ctrl: FaultyChannel,
-    peers: PeerLinks,
+    (tx, rx): (Sender<String>, Receiver<String>),
+    to_ctrl: Sender<String>,
+    peers: Vec<Sender<String>>,
+    shim: Option<(Arc<RtFaults>, Sender<PumpJob>)>,
     tel: Telemetry,
 ) -> WorkerHandle {
-    let (tx, rx): (Sender<String>, Receiver<String>) = unbounded();
+    let up = FaultyChannel::new(to_ctrl, worker_node(index), CTRL_NODE, shim.clone());
     let join = std::thread::Builder::new()
         .name(format!("nf-worker-{index}"))
-        .spawn(move || worker_loop(index, nf, rx, to_ctrl, peers, tel))
+        .spawn(move || {
+            // Built on the worker's own thread, like everything the NF
+            // allocates later.
+            let worker = Worker {
+                index,
+                harness: EventedNf::new(nf),
+                up,
+                peers: Peers {
+                    links: vec![None; peers.len()],
+                    inboxes: peers,
+                    shim,
+                    dials: tel.counter("rt.p2p.dials"),
+                },
+                p2p: P2pIn::default(),
+                floor: 0,
+                applied: HashSet::new(),
+                ev_buf: FrameBuf::new(),
+                counters: WorkerCounters::resolve(&tel, index),
+                tel,
+            };
+            worker.run(rx)
+        })
         .expect("spawn worker");
     WorkerHandle { index, tx, join: Some(join) }
 }
@@ -200,25 +147,31 @@ impl WorkerCounters {
     }
 }
 
-/// Ships every event one packet raised as a single coalesced frame (one
-/// channel send, one fault verdict), through the reused assembler.
-fn send_events(
-    index: usize,
-    to_ctrl: &FaultyChannel,
-    buf: &mut FrameBuf,
-    events: Vec<NfEvent>,
-    frames_encoded: &AtomicU64,
-) {
-    for ev in events {
-        let wire = match ev {
-            NfEvent::Received(packet) => WireEvent::PacketReceived { packet },
-            NfEvent::Processed(packet) => WireEvent::PacketProcessed { packet },
+/// A worker's direct links to its peers, each dialed on first use.
+struct Peers {
+    /// Every worker's inbox, by index; none for a worker spawned outside a
+    /// controller.
+    inboxes: Vec<Sender<String>>,
+    /// The fault shim every dialed link runs through, if a plan is armed
+    /// on this worker.
+    shim: Option<(Arc<RtFaults>, Sender<PumpJob>)>,
+    links: Vec<Option<FaultyChannel>>,
+    /// The shared `rt.p2p.dials` counter.
+    dials: Arc<AtomicU64>,
+}
+
+impl Peers {
+    /// The link from worker `src` (this one) to `peer`, dialing it on
+    /// first use.
+    fn link(&mut self, src: usize, peer: usize) -> Result<&FaultyChannel, String> {
+        let Some(inbox) = self.inboxes.get(peer) else {
+            return Err(format!("no peer link to worker {peer}"));
         };
-        buf.push(&WireMsg::Event { worker: index, ev: wire });
-    }
-    if let Some(frame) = buf.finish() {
-        frames_encoded.fetch_add(1, Ordering::Relaxed);
-        let _ = to_ctrl.send_json(frame);
+        Ok(self.links[peer].get_or_insert_with(|| {
+            self.dials.fetch_add(1, Ordering::Relaxed);
+            let (src, dst) = (worker_node(src), worker_node(peer));
+            FaultyChannel::new(inbox.clone(), src, dst, self.shim.clone())
+        }))
     }
 }
 
@@ -232,6 +185,24 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "NF panicked with a non-string payload".to_string()
     }
+}
+
+/// The reply to a call that either completes or fails on the NF's state.
+fn done(res: Result<(), StateError>) -> WireReply {
+    match res {
+        Ok(()) => WireReply::Done,
+        Err(e) => WireReply::Error { message: e.to_string() },
+    }
+}
+
+/// Cuts `chunks` into batches of at most `size` (at least one), in order,
+/// as `(seq, last, batch)`. The final batch carries `last` and comes even
+/// when there is nothing to ship, so a stream always terminates.
+fn batches(chunks: Vec<Chunk>, size: usize) -> impl Iterator<Item = (u64, bool, Vec<Chunk>)> {
+    let size = size.max(1);
+    let count = chunks.len().div_ceil(size).max(1);
+    let mut chunks = chunks.into_iter();
+    (0..count).map(move |seq| (seq as u64, seq + 1 == count, chunks.by_ref().take(size).collect()))
 }
 
 /// Destination-side bookkeeping of a P2P bulk transfer: the current
@@ -258,335 +229,251 @@ impl P2pIn {
     }
 }
 
-/// Source side of a P2P transfer: export the matching per-flow state and
-/// stream it to the peer in chunk batches, then summarize for the
-/// controller. The state is NOT deleted here — copy-then-delete means the
-/// controller sends `DelPerflow` only after the destination confirmed
-/// every flow.
-fn do_transfer(
-    harness: &mut EventedNf,
-    peers: &PeerLinks,
-    id: u64,
-    filter: &Filter,
-    peer: usize,
-    only: &[FlowId],
-    p2p_batches: &AtomicU64,
-) -> WireReply {
-    let link = match peers.link(peer) {
-        Ok(link) => link,
-        Err(message) => return WireReply::Error { message },
-    };
-    let mut chunks = harness.nf_mut().get_perflow(filter);
-    if !only.is_empty() {
-        let keep: HashSet<FlowId> = only.iter().copied().collect();
-        chunks.retain(|c| keep.contains(&c.flow_id));
-    }
-    let mut flow_ids = Vec::new();
-    let mut listed = HashSet::new();
-    let mut bytes = 0u64;
-    for c in &chunks {
-        bytes += c.len() as u64;
-        if listed.insert(c.flow_id) {
-            flow_ids.push(c.flow_id);
-        }
-    }
-    // Ship in bounded batches; the final one carries `last` (and goes out
-    // even when there is nothing to ship, so the destination always acks).
-    let mut seq = 0u64;
-    let mut remaining = chunks;
-    loop {
-        let rest = if remaining.len() > P2P_BATCH_CHUNKS {
-            remaining.split_off(P2P_BATCH_CHUNKS)
-        } else {
-            Vec::new()
-        };
-        let last = rest.is_empty();
-        // A dead peer is not the source's problem: the controller sees the
-        // missing TransferDone and retries or aborts.
-        p2p_batches.fetch_add(1, Ordering::Relaxed);
-        let _ = link.send(&WireMsg::P2pChunks { id, seq, last, chunks: remaining });
-        seq += 1;
-        if last {
-            break;
-        }
-        remaining = rest;
-    }
-    WireReply::TransferExported { flow_ids, bytes }
+/// One worker thread's state.
+struct Worker {
+    index: usize,
+    harness: EventedNf,
+    /// The worker → controller link.
+    up: FaultyChannel,
+    peers: Peers,
+    p2p: P2pIn,
+    /// The request fence: the highest floor seen and the ids at or above
+    /// it already applied.
+    floor: u64,
+    applied: HashSet<u64>,
+    /// Reused assembler for event frames.
+    ev_buf: FrameBuf,
+    counters: WorkerCounters,
+    tel: Telemetry,
 }
 
-fn worker_loop(
-    index: usize,
-    nf: Box<dyn NetworkFunction>,
-    rx: Receiver<String>,
-    to_ctrl: FaultyChannel,
-    peers: PeerLinks,
-    tel: Telemetry,
-) -> EventedNf {
-    let mut harness = EventedNf::new(nf);
-    let mut ev_buf = FrameBuf::new();
-    let mut p2p = P2pIn::default();
-    let counters = WorkerCounters::resolve(&tel, index);
-    // The request fence: the highest floor seen and the ids at or above
-    // it already applied.
-    let mut floor = 0u64;
-    let mut applied: HashSet<u64> = HashSet::new();
-    'recv: while let Ok(raw) = rx.recv() {
-        // A payload may frame several messages (batched packets/chunks);
-        // process them in frame order.
-        let msgs = match decode_frame(&raw) {
-            Ok(m) => {
-                counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
-                m
-            }
-            Err(e) => {
-                let _ = to_ctrl.send(&WireMsg::Response {
-                    id: 0,
-                    reply: WireReply::Error { message: e.to_string() },
-                });
-                continue;
-            }
-        };
-        // Span link: if the frame carries a request stamped with the
-        // sending controller span's id, open a decode span under that
-        // parent — the cross-boundary tie the trace viewer follows from a
-        // controller phase into the worker that served it. Packet frames
-        // carry no link, so the hot path never pays for this.
-        let frame_span = msgs
-            .iter()
-            .find_map(|m| match m {
-                WireMsg::Request { span, .. } => *span,
-                _ => None,
-            })
-            .filter(|_| tel.enabled())
-            .map(|link| {
-                tel.begin_linked_arg(link, "rt.frame.decode", Some(format!("link={link}")))
-            });
-        for msg in msgs {
-            if let WireMsg::Request { id, floor: f, .. } = msg {
-                if f > floor {
-                    floor = f;
-                    applied.retain(|&a| a >= floor);
+impl Worker {
+    /// Serves the inbox until shutdown or an NF panic, and hands the
+    /// harness back either way.
+    fn run(mut self, rx: Receiver<String>) -> EventedNf {
+        'recv: while let Ok(raw) = rx.recv() {
+            // A payload may frame several messages (batched packets/chunks);
+            // process them in frame order.
+            let msgs = match decode_frame(&raw) {
+                Ok(m) => {
+                    self.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
+                    m
                 }
-                if id < floor || !applied.insert(id) {
-                    counters.fenced_dropped.fetch_add(1, Ordering::Relaxed);
-                    // Point event for the happens-before oracle: a request
-                    // carries no op id, so the analyzer attributes by time
-                    // window.
-                    tel.event("fence.dup", Some(format!("worker={index} id={id} floor={floor}")));
+                Err(e) => {
+                    let _ = self.up.send(&WireMsg::Response {
+                        id: 0,
+                        reply: WireReply::Error { message: e.to_string() },
+                    });
                     continue;
                 }
-                if let Some(g) = &counters.fence_window {
-                    g.store(applied.len() as u64, Ordering::Relaxed);
-                }
-            }
-            match msg {
-                WireMsg::Shutdown => break 'recv,
-                WireMsg::Packet { packet } => {
-                    match catch_unwind(AssertUnwindSafe(|| harness.handle_packet(&packet))) {
-                        Ok((_outcome, events)) => send_events(
-                            index,
-                            &to_ctrl,
-                            &mut ev_buf,
-                            events,
-                            &counters.frames_encoded,
-                        ),
-                        Err(payload) => {
-                            let reason = panic_reason(payload);
-                            let _ = to_ctrl
-                                .send(&WireMsg::Event { worker: index, ev: WireEvent::NfFailed { reason } });
-                            break 'recv;
-                        }
+            };
+            // Span link: if the frame carries a request stamped with the
+            // sending controller span's id, open a decode span under that
+            // parent — the cross-boundary tie the trace viewer follows from a
+            // controller phase into the worker that served it. Packet frames
+            // carry no link, so the hot path never pays for this.
+            let tel = &self.tel;
+            let frame_span = msgs
+                .iter()
+                .find_map(|m| match m {
+                    WireMsg::Request { span, .. } => *span,
+                    _ => None,
+                })
+                .filter(|_| tel.enabled())
+                .map(|link| {
+                    tel.begin_linked_arg(link, "rt.frame.decode", Some(format!("link={link}")))
+                });
+            for msg in msgs {
+                if let WireMsg::Request { id, floor, .. } = msg {
+                    if floor > self.floor {
+                        self.floor = floor;
+                        self.applied.retain(|&a| a >= floor);
                     }
-                }
-                WireMsg::Request {
-                    id,
-                    call: WireCall::GetPerflowChunked { filter, batch },
-                    ..
-                } => {
-                    match catch_unwind(AssertUnwindSafe(|| harness.nf_mut().get_perflow(&filter)))
-                    {
-                        Ok(chunks) => {
-                            stream_chunks(index, &to_ctrl, id, chunks, batch);
-                        }
-                        Err(payload) => {
-                            let reason = panic_reason(payload);
-                            let _ = to_ctrl
-                                .send(&WireMsg::Event { worker: index, ev: WireEvent::NfFailed { reason } });
-                            break 'recv;
-                        }
-                    }
-                }
-                WireMsg::Request {
-                    id, call: WireCall::TransferPerflow { filter, peer, only }, ..
-                } => {
-                    let reply = match catch_unwind(AssertUnwindSafe(|| {
-                        do_transfer(&mut harness, &peers, id, &filter, peer, &only, &counters.p2p_batches)
-                    })) {
-                        Ok(reply) => reply,
-                        Err(payload) => {
-                            let reason = panic_reason(payload);
-                            let _ = to_ctrl
-                                .send(&WireMsg::Event { worker: index, ev: WireEvent::NfFailed { reason } });
-                            break 'recv;
-                        }
-                    };
-                    let _ = to_ctrl.send(&WireMsg::Response { id, reply });
-                }
-                WireMsg::Request {
-                    id, call: WireCall::AbortTransfer { flow_ids, through_id }, ..
-                } => {
-                    // Tombstone: a batch of these rounds still in flight
-                    // must not resurrect the deleted state.
-                    p2p.advance_to(through_id.saturating_add(1));
-                    harness.nf_mut().del_perflow(&flow_ids);
-                    let _ = to_ctrl.send(&WireMsg::Response { id, reply: WireReply::Done });
-                }
-                WireMsg::Request { id, call, .. } => {
-                    match catch_unwind(AssertUnwindSafe(|| handle_call(&mut harness, call))) {
-                        Ok(reply) => {
-                            let _ = to_ctrl.send(&WireMsg::Response { id, reply });
-                        }
-                        Err(payload) => {
-                            let reason = panic_reason(payload);
-                            let _ = to_ctrl
-                                .send(&WireMsg::Event { worker: index, ev: WireEvent::NfFailed { reason } });
-                            break 'recv;
-                        }
-                    }
-                }
-                WireMsg::P2pChunks { id, seq, last, chunks } => {
-                    if id < p2p.round {
-                        // Straggler from an aborted round (the state it
-                        // carries was already rolled back at the source)
-                        // or from a round that has ended: what it carries
-                        // was either confirmed already or is re-shipped by
-                        // the round that superseded it.
+                    if id < self.floor || !self.applied.insert(id) {
+                        self.counters.fenced_dropped.fetch_add(1, Ordering::Relaxed);
+                        // Point event for the happens-before oracle: a
+                        // request carries no op id, so the analyzer
+                        // attributes by time window.
+                        let arg = format!("worker={} id={id} floor={}", self.index, self.floor);
+                        self.tel.event("fence.dup", Some(arg));
                         continue;
                     }
-                    p2p.advance_to(id);
-                    let ids: Vec<FlowId> = chunks.iter().map(|c| c.flow_id).collect();
-                    match harness.nf_mut().put_perflow(chunks) {
-                        Ok(()) => {
-                            for f in &ids {
-                                if p2p.seen.insert(*f) {
-                                    p2p.imported.push(*f);
-                                }
-                            }
-                            if last {
-                                let _ = to_ctrl.send(&WireMsg::Response {
-                                    id,
-                                    reply: WireReply::TransferDone {
-                                        imported: p2p.imported.clone(),
-                                    },
-                                });
-                            } else {
-                                // Batch-granular progress ack: even if the
-                                // round's final TransferDone is lost, the
-                                // controller knows these flows landed and a
-                                // retry re-requests only the rest.
-                                let _ = to_ctrl.send(&WireMsg::Response {
-                                    id,
-                                    reply: WireReply::TransferProgress { seq, flow_ids: ids },
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            let _ = to_ctrl.send(&WireMsg::Response {
-                                id,
-                                reply: WireReply::Error { message: e.to_string() },
-                            });
-                        }
+                    if let Some(g) = &self.counters.fence_window {
+                        g.store(self.applied.len() as u64, Ordering::Relaxed);
                     }
                 }
-                // Workers never receive responses or events.
-                WireMsg::Response { .. } | WireMsg::Event { .. } => {}
+                match catch_unwind(AssertUnwindSafe(|| self.serve(msg))) {
+                    Ok(true) => {}
+                    Ok(false) => break 'recv,
+                    Err(payload) => {
+                        let ev = WireEvent::NfFailed { reason: panic_reason(payload) };
+                        let _ = self.up.send(&WireMsg::Event { worker: self.index, ev });
+                        break 'recv;
+                    }
+                }
+            }
+            if let Some(sp) = frame_span {
+                self.tel.end(sp);
             }
         }
-        if let Some(sp) = frame_span {
-            tel.end(sp);
+        self.harness
+    }
+
+    /// Serves one message that passed the fence, answering the controller
+    /// where the protocol says to; `false` once it was the shutdown. Runs
+    /// under the loop's one panic guard.
+    fn serve(&mut self, msg: WireMsg) -> bool {
+        let (id, reply) = match msg {
+            WireMsg::Shutdown => return false,
+            WireMsg::Packet { packet } => {
+                let (_outcome, events) = self.harness.handle_packet(&packet);
+                self.send_events(events);
+                return true;
+            }
+            WireMsg::Request { id, call, .. } => {
+                let nf = self.harness.nf_mut();
+                let reply = match call {
+                    WireCall::GetPerflow { filter } => {
+                        WireReply::Chunks { chunks: nf.get_perflow(&filter) }
+                    }
+                    WireCall::PutPerflow { chunks } => done(nf.put_perflow(chunks)),
+                    WireCall::DelPerflow { flow_ids } => {
+                        nf.del_perflow(&flow_ids);
+                        WireReply::Done
+                    }
+                    WireCall::GetMultiflow { filter } => {
+                        WireReply::Chunks { chunks: nf.get_multiflow(&filter) }
+                    }
+                    WireCall::PutMultiflow { chunks } => done(nf.put_multiflow(chunks)),
+                    WireCall::GetAllflows => WireReply::Chunks { chunks: nf.get_allflows() },
+                    WireCall::PutAllflows { chunks } => done(nf.put_allflows(chunks)),
+                    WireCall::EnableEvents { filter, action } => {
+                        self.harness.enable_events(filter, action.into());
+                        WireReply::Done
+                    }
+                    WireCall::DisableEvents { filter } => {
+                        self.harness.disable_events(&filter);
+                        WireReply::Done
+                    }
+                    // Streams the export as `ChunkBatch` responses, all
+                    // under the request's correlation id.
+                    WireCall::GetPerflowChunked { filter, batch } => {
+                        for (seq, last, chunks) in batches(nf.get_perflow(&filter), batch) {
+                            let reply = WireReply::ChunkBatch { seq, last, chunks };
+                            let _ = self.up.send(&WireMsg::Response { id, reply });
+                        }
+                        return true;
+                    }
+                    WireCall::TransferPerflow { filter, peer, only } => {
+                        self.transfer(id, &filter, peer, &only)
+                    }
+                    WireCall::AbortTransfer { flow_ids, through_id } => {
+                        // Tombstone: a batch of these rounds still in
+                        // flight must not resurrect the deleted state.
+                        self.p2p.advance_to(through_id.saturating_add(1));
+                        nf.del_perflow(&flow_ids);
+                        WireReply::Done
+                    }
+                };
+                (id, reply)
+            }
+            WireMsg::P2pChunks { id, seq, last, chunks } => {
+                if id < self.p2p.round {
+                    // Straggler from an aborted round (the state it
+                    // carries was already rolled back at the source) or
+                    // from a round that has ended: what it carries was
+                    // either confirmed already or is re-shipped by the
+                    // round that superseded it.
+                    return true;
+                }
+                self.p2p.advance_to(id);
+                let ids: Vec<FlowId> = chunks.iter().map(|c| c.flow_id).collect();
+                let reply = match self.harness.nf_mut().put_perflow(chunks) {
+                    Err(e) => WireReply::Error { message: e.to_string() },
+                    Ok(()) => {
+                        for f in &ids {
+                            if self.p2p.seen.insert(*f) {
+                                self.p2p.imported.push(*f);
+                            }
+                        }
+                        if last {
+                            WireReply::TransferDone { imported: self.p2p.imported.clone() }
+                        } else {
+                            // Batch-granular progress ack: even if the
+                            // round's final TransferDone is lost, the
+                            // controller knows these flows landed and a
+                            // retry re-requests only the rest.
+                            WireReply::TransferProgress { seq, flow_ids: ids }
+                        }
+                    }
+                };
+                (id, reply)
+            }
+            // Workers never receive responses or events.
+            WireMsg::Response { .. } | WireMsg::Event { .. } => return true,
+        };
+        let _ = self.up.send(&WireMsg::Response { id, reply });
+        true
+    }
+
+    /// Ships every event one packet raised as a single coalesced frame (one
+    /// channel send, one fault verdict), through the reused assembler.
+    fn send_events(&mut self, events: Vec<NfEvent>) {
+        for ev in events {
+            let ev = match ev {
+                NfEvent::Received(packet) => WireEvent::PacketReceived { packet },
+                NfEvent::Processed(packet) => WireEvent::PacketProcessed { packet },
+            };
+            self.ev_buf.push(&WireMsg::Event { worker: self.index, ev });
+        }
+        if let Some(frame) = self.ev_buf.finish() {
+            self.counters.frames_encoded.fetch_add(1, Ordering::Relaxed);
+            let _ = self.up.send_json(frame);
         }
     }
-    harness
-}
 
-/// Streams an export as [`WireReply::ChunkBatch`] responses of at most
-/// `batch` chunks, all under one correlation id; the final batch carries
-/// `last` and goes out even when empty, so the stream always terminates.
-fn stream_chunks(
-    _index: usize,
-    to_ctrl: &FaultyChannel,
-    id: u64,
-    chunks: Vec<Chunk>,
-    batch: usize,
-) {
-    let batch = batch.max(1);
-    let mut seq = 0u64;
-    let mut remaining = chunks;
-    loop {
-        let rest =
-            if remaining.len() > batch { remaining.split_off(batch) } else { Vec::new() };
-        let last = rest.is_empty();
-        let _ = to_ctrl.send(&WireMsg::Response {
-            id,
-            reply: WireReply::ChunkBatch { seq, last, chunks: remaining },
-        });
-        seq += 1;
-        if last {
-            break;
+    /// Source side of a P2P transfer: export the matching per-flow state
+    /// and stream it to `peer` in chunk batches, then summarize for the
+    /// controller. The state is NOT deleted here — copy-then-delete means
+    /// the controller sends `DelPerflow` only after the destination
+    /// confirmed every flow.
+    fn transfer(&mut self, id: u64, filter: &Filter, peer: usize, only: &[FlowId]) -> WireReply {
+        let link = match self.peers.link(self.index, peer) {
+            Ok(link) => link,
+            Err(message) => return WireReply::Error { message },
+        };
+        let mut chunks = self.harness.nf_mut().get_perflow(filter);
+        if !only.is_empty() {
+            let keep: HashSet<FlowId> = only.iter().copied().collect();
+            chunks.retain(|c| keep.contains(&c.flow_id));
         }
-        remaining = rest;
-    }
-}
-
-fn handle_call(harness: &mut EventedNf, call: WireCall) -> WireReply {
-    match call {
-        WireCall::GetPerflow { filter } => {
-            WireReply::Chunks { chunks: harness.nf_mut().get_perflow(&filter) }
+        let mut flow_ids = Vec::new();
+        let mut listed = HashSet::new();
+        let mut bytes = 0u64;
+        for c in &chunks {
+            bytes += c.len() as u64;
+            if listed.insert(c.flow_id) {
+                flow_ids.push(c.flow_id);
+            }
         }
-        WireCall::PutPerflow { chunks } => match harness.nf_mut().put_perflow(chunks) {
-            Ok(()) => WireReply::Done,
-            Err(e) => WireReply::Error { message: e.to_string() },
-        },
-        WireCall::DelPerflow { flow_ids } => {
-            harness.nf_mut().del_perflow(&flow_ids);
-            WireReply::Done
+        // The final batch goes out even when there is nothing to ship, so
+        // the destination always acks. A dead peer is not the source's
+        // problem: the controller sees the missing TransferDone and
+        // retries or aborts.
+        for (seq, last, chunks) in batches(chunks, P2P_BATCH_CHUNKS) {
+            self.counters.p2p_batches.fetch_add(1, Ordering::Relaxed);
+            let _ = link.send(&WireMsg::P2pChunks { id, seq, last, chunks });
         }
-        WireCall::GetMultiflow { filter } => {
-            WireReply::Chunks { chunks: harness.nf_mut().get_multiflow(&filter) }
-        }
-        WireCall::PutMultiflow { chunks } => match harness.nf_mut().put_multiflow(chunks) {
-            Ok(()) => WireReply::Done,
-            Err(e) => WireReply::Error { message: e.to_string() },
-        },
-        WireCall::GetAllflows => WireReply::Chunks { chunks: harness.nf_mut().get_allflows() },
-        WireCall::PutAllflows { chunks } => match harness.nf_mut().put_allflows(chunks) {
-            Ok(()) => WireReply::Done,
-            Err(e) => WireReply::Error { message: e.to_string() },
-        },
-        WireCall::EnableEvents { filter, action } => {
-            harness.enable_events(filter, action.into());
-            WireReply::Done
-        }
-        WireCall::DisableEvents { filter } => {
-            harness.disable_events(&filter);
-            WireReply::Done
-        }
-        // Intercepted in `worker_loop` (they need the peer links, the
-        // per-transfer bookkeeping, or the streaming reply channel).
-        WireCall::TransferPerflow { .. }
-        | WireCall::AbortTransfer { .. }
-        | WireCall::GetPerflowChunked { .. } => {
-            WireReply::Error { message: "streaming calls are handled by the worker loop".into() }
-        }
+        WireReply::TransferExported { flow_ids, bytes }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::PanicNf;
+    use crate::testutil::{PanicAt, PanicNf};
     use opennf_nfs::AssetMonitor;
-    use opennf_packet::{Filter, FlowKey, Packet, TcpFlags};
+    use opennf_packet::{FlowKey, Packet, TcpFlags};
 
     fn pkt(uid: u64) -> Packet {
         Packet::builder(
@@ -689,24 +576,79 @@ mod tests {
         w.shutdown();
     }
 
+    /// Every message a worker serves runs under the one panic guard: an NF
+    /// panicking in any call is reported exactly once, answers nothing,
+    /// and the worker still hands its harness back.
     #[test]
     fn panicking_nf_reports_failure_and_hands_back_state() {
-        let (to_ctrl, from_workers) = unbounded();
-        let w = spawn_worker(2, Box::new(PanicNf::new(5)), to_ctrl);
-        w.send(&WireMsg::Packet { packet: pkt(1) }).unwrap();
-        w.send(&WireMsg::Packet { packet: pkt(5) }).unwrap();
-        // The panic is caught, reported, and the thread exits — no
-        // unwinding across the channel.
-        match WireMsg::from_json(&from_workers.recv().unwrap()).unwrap() {
-            WireMsg::Event { worker: 2, ev: WireEvent::NfFailed { reason } } => {
-                assert!(reason.contains("injected NF bug"), "reason: {reason}");
+        let request = |call| WireMsg::Request { id: 1, floor: 1, call, span: None };
+        let transfer = WireCall::TransferPerflow { filter: Filter::any(), peer: 0, only: vec![] };
+        let rows = [
+            ("packet", PanicAt::Packet(5), WireMsg::Packet { packet: pkt(5) }),
+            ("PutPerflow", PanicAt::PutPerflow, request(WireCall::PutPerflow { chunks: vec![] })),
+            (
+                "GetPerflowChunked",
+                PanicAt::GetPerflow,
+                request(WireCall::GetPerflowChunked { filter: Filter::any(), batch: 64 }),
+            ),
+            ("TransferPerflow", PanicAt::GetPerflow, request(transfer)),
+            (
+                "P2pChunks",
+                PanicAt::PutPerflow,
+                WireMsg::P2pChunks { id: 1, seq: 0, last: true, chunks: vec![] },
+            ),
+            (
+                "AbortTransfer",
+                PanicAt::DelPerflow,
+                request(WireCall::AbortTransfer { flow_ids: vec![], through_id: 1 }),
+            ),
+        ];
+        for (row, at, msg) in rows {
+            let (to_ctrl, from_workers) = unbounded();
+            // One peer inbox, so a transfer gets as far as its export.
+            let (peer, _peer_rx) = unbounded();
+            let nf = Box::new(PanicNf::new(at));
+            let tel = Telemetry::disabled();
+            let w = spawn_worker_full(2, nf, unbounded(), to_ctrl, vec![peer], None, tel);
+            w.send(&WireMsg::Packet { packet: pkt(1) }).unwrap();
+            w.send(&msg).unwrap();
+            // Bounded, so a worker that dies silently fails the row
+            // instead of hanging it.
+            let first = from_workers.recv_timeout(std::time::Duration::from_secs(5));
+            match first.map(|raw| WireMsg::from_json(&raw)) {
+                Ok(Ok(WireMsg::Event { worker: 2, ev: WireEvent::NfFailed { reason } })) => {
+                    assert!(reason.contains("injected NF bug"), "{row}: reason: {reason}");
+                }
+                other => panic!("{row}: expected NfFailed, got {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
+            // The dead worker's harness is still recoverable (it processed
+            // everything before the faulting message).
+            let harness = w.shutdown();
+            assert_eq!(harness.processed_log(), &[1], "{row}");
+            assert!(from_workers.try_recv().is_err(), "{row}: one report and no response");
         }
-        // The dead worker's harness is still recoverable (it processed
-        // everything before the faulting packet).
-        let harness = w.shutdown();
-        assert_eq!(harness.processed_log(), &[1]);
+    }
+
+    #[test]
+    fn batches_end_with_one_last_batch_even_when_empty() {
+        let chunk = |i: u8| Chunk {
+            flow_id: FlowId::default(),
+            scope: opennf_nf::Scope::PerFlow,
+            kind: String::new(),
+            data: vec![i],
+        };
+        let shape = |n: u8, size| -> Vec<(u64, bool, Vec<u8>)> {
+            batches((0..n).map(chunk).collect(), size)
+                .map(|(seq, last, b)| (seq, last, b.iter().map(|c| c.data[0]).collect()))
+                .collect()
+        };
+        assert_eq!(shape(0, 64), [(0, true, vec![])]);
+        assert_eq!(shape(3, 0), [(0, false, vec![0]), (1, false, vec![1]), (2, true, vec![2])]);
+        assert_eq!(
+            shape(5, 2),
+            [(0, false, vec![0, 1]), (1, false, vec![2, 3]), (2, true, vec![4])]
+        );
+        assert_eq!(shape(4, 2), [(0, false, vec![0, 1]), (1, true, vec![2, 3])]);
     }
 
     #[test]

@@ -149,10 +149,11 @@ fn parse_name_u64_map(v: Option<&Value>) -> Vec<(String, u64)> {
         .unwrap_or_default()
 }
 
-/// Re-imports a [`jsonl`] dump: the inverse of the exporter, so a dump can
-/// be analyzed offline with the same tooling that reads a live recorder.
-/// Returns the record stream (oldest first) and, when present, the final
-/// summary line. Blank lines are skipped; a malformed line is an error.
+/// Re-imports a [`crate::Telemetry::export_jsonl`] dump: the inverse of the
+/// exporter, so a dump can be analyzed offline with the same tooling that
+/// reads a live recorder. Returns the record stream (oldest first) and,
+/// when present, the final summary line. Blank lines are skipped; a
+/// malformed line is an error.
 pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedRec>, Option<JsonlSummary>), String> {
     let mut records = Vec::new();
     let mut summary = None;

@@ -1,7 +1,7 @@
 //! Deterministic randomness for simulations.
 //!
 //! One seeded generator per engine; nodes draw from it through
-//! [`crate::Ctx::rng`]. The implementation is SplitMix64 followed by
+//! `opennf_sim::Ctx::rng`. The implementation is SplitMix64 followed by
 //! xoshiro256++, written out explicitly so runs are reproducible regardless
 //! of `rand`-crate version bumps. [`SimRng`] also implements
 //! [`rand::RngCore`] so it can drive `rand` distributions.

@@ -59,7 +59,7 @@ proptest! {
                   FaultKind::Reorder(Dur::millis(3)));
         let (faults, pump) = RtFaults::arm(plan);
         let (tx, rx) = unbounded();
-        let ch = FaultyChannel::shimmed(tx, src, dst, faults.clone(), pump);
+        let ch = FaultyChannel::new(tx, src, dst, Some((faults.clone(), pump)));
 
         for uid in 1..=n_msgs {
             let key = FlowKey::tcp(
